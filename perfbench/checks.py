@@ -112,11 +112,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 class RankOracle:
     """Rankings recomputed from a zsl bundle's JSON.
 
-    `vectors` holds one embedding row per token of `index`. Identical
-    candidate columns are scored once, so exact ties break by candidate
-    order as the program promises."""
+    `vectors` holds one embedding row per token of `index`, times
+    `divisor`: a large embedding can stay an integer matrix, and only the
+    rows a text or the candidates use are divided. Identical candidate
+    columns are scored once, so exact ties break by candidate order as
+    the program promises."""
 
-    def __init__(self, bundle: dict, index: dict[str, int], vectors: np.ndarray, candidates):
+    def __init__(self, bundle: dict, index: dict[str, int], vectors: np.ndarray, candidates,
+                 divisor: float = 1.0):
         self.method = bundle["method"]
         hidden = bundle["classifier"]["hidden"]
         output = bundle["classifier"]["output"]
@@ -125,14 +128,18 @@ class RankOracle:
         self.head = bundle["head"]
         self.index = index
         self.vectors = vectors
+        self.divisor = divisor
         self.candidates = list(candidates)
-        columns = np.stack([vectors[index["#" + c]] for c in self.candidates])
+        columns = self._gather([index["#" + c] for c in self.candidates])
         self.unique, self.inverse = np.unique(columns, axis=0, return_inverse=True)
         self.inverse = self.inverse.reshape(-1)
 
+    def _gather(self, rows) -> np.ndarray:
+        return self.vectors[rows] / self.divisor
+
     def features(self, tokens) -> np.ndarray:
         rows = [self.index[t] for t in tokens if t in self.index]
-        x = self.vectors[rows].mean(axis=0) if rows else np.zeros(self.vectors.shape[1])
+        x = self._gather(rows).mean(axis=0) if rows else np.zeros(self.vectors.shape[1])
         return np.tanh(self.Wh @ x + self.bh)
 
     def _unique_scores(self, h: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ HASHTAGS = (
 )
 MINOR_HASHTAGS = HASHTAGS[-3:]  # planted below --min-tweets
 DROP_REASONS = ("non_english", "malformed", "no_hashtags", "too_short", "duplicate")
+VALUE_DIVISOR = 1000.0  # serve's embedding values are integers over this
 
 
 @dataclass
@@ -197,17 +198,12 @@ class ServeWorld:
     labelled corpus to fit bundles on, and texts to rank."""
 
     tokens: list[str]
-    ints: np.ndarray  # the file holds ints / 1000, one row per token
+    ints: np.ndarray  # int16; the file holds ints / VALUE_DIVISOR, one row per token
     candidates: list[str]  # hashtag labels, without '#'
     train_labels: list[str]
     train_tweets: list[tuple[list[str], str]]
     texts: list[str]
     tied_pairs: list[tuple[str, str]]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The values the program parses out of the file."""
-        return self.ints / 1000.0
 
 
 def make_serve_world(
@@ -277,9 +273,11 @@ def make_serve_world(
 
 
 def write_embedding_file(world: ServeWorld, path) -> None:
-    """word2vec text format; each value in its shortest round-trip form."""
-    table = {k: repr(k / 1000.0) for k in range(-999, 1000)}
+    """word2vec text format; each value in its shortest round-trip form.
+    Rows are converted one at a time, so writing holds no copy of the
+    matrix."""
+    table = {k: repr(k / VALUE_DIVISOR) for k in range(-999, 1000)}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(world.tokens)} {world.ints.shape[1]}\n")
-        for token, row in zip(world.tokens, world.ints.tolist()):
-            fh.write(token + " " + " ".join([table[k] for k in row]) + "\n")
+        for token, row in zip(world.tokens, world.ints):
+            fh.write(token + " " + " ".join([table[k] for k in row.tolist()]) + "\n")

@@ -32,6 +32,10 @@ def zsl_config(split_seed: int, epochs: int = 30, dem_epochs: int = 50):
 
 
 class Grid:
+    # A round takes about 9 s, so zsl_cell_s and cv_s are medians of
+    # three calls, one per split; the splits train on equally many
+    # examples. More rounds would overrun the time a full schedule of
+    # runs may take when the machine is in a slow spell.
     min_rounds = len(SPLIT_SEEDS)
 
     def __init__(self, run):
@@ -48,8 +52,13 @@ class Grid:
         return world.dataset, world.vocab, world.emb
 
     def warm_up(self) -> None:
-        self.run.call(None, evaluate.run_zsl_experiment, *self._args(self.clustered),
-                      zsl_config(SPLIT_SEEDS[0], epochs=1, dem_epochs=1))
+        """One epoch of each training: it loads every code path, and
+        only the hit@K checks hold for so short a training."""
+        result = self.run.call(None, evaluate.run_zsl_experiment, *self._args(self.clustered),
+                               zsl_config(SPLIT_SEEDS[0], epochs=1, dem_epochs=1))
+        if result is not None:
+            for cell in result["cells"]:
+                self.run.check(checks.hit_problems(cell["hit_at"], CANDIDATES))
         self.run.call(None, evaluate.run_supervised_experiment, *self._args(self.separable),
                       evaluate.SupervisedExperimentConfig(seed=self.run.seed, train=TrainSpec(epochs=1)))
 

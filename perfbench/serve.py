@@ -56,11 +56,11 @@ class Serve:
         self.bundles = {m: self.run.call(None, zsl.load_zsl_bundle, p) for m, p in self.bundle_paths.items()}
         self.stopwords = ingest.default_stopwords()
         index = {token: i for i, token in enumerate(world.tokens)}
-        vectors = world.vectors
         self.oracles = {}
         for method, bundle_path in self.bundle_paths.items():
             with open(bundle_path, encoding="ascii") as fh:
-                self.oracles[method] = checks.RankOracle(json.load(fh), index, vectors, world.candidates)
+                self.oracles[method] = checks.RankOracle(json.load(fh), index, world.ints, world.candidates,
+                                                         divisor=gen.VALUE_DIVISOR)
         self.candidates = world.candidates
         self.env = dict(os.environ)
         self.cold_argv = [sys.executable, "-m", "tagrec.cli", "recommend", "--k", str(len(self.candidates)),

@@ -3,14 +3,14 @@
     python3 perfbench/steady.py run --workload grid --runs 10 [--seed0 0] [--out grid_a.json]
     python3 perfbench/steady.py compare grid_a.json grid_b.json
 
-`run` starts `run.py` once per seed (seed0, seed0 + 1, ...), one process
-at a time, and prints each metric's median, quartiles, range and
+`run` starts `run.py --trace 0` once per seed (seed0, seed0 + 1, ...),
+one process at a time, and prints each metric's median, quartiles, range and
 spread: the distance between the quartiles as a share of the median,
 with the quartiles taken as `statistics.quantiles(values, n=4)` gives
 them. `compare` checks two such sets against the bounds in
-BENCHMARK.json: each spread (set-up time excepted) within its bound,
-the second median no worse than the first by more than the bound, and
-the same share of failed operations.
+BENCHMARK.json: every run's outputs correct, each spread (set-up time
+excepted) within its bound, the second median no worse than the first
+by more than the bound, and the same share of failed operations.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def one_run(workload: str, seed: int, seconds, trace: int) -> dict:
+def one_run(workload: str, seed: int, seconds) -> dict:
     argv = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise SystemExit(f"seed {seed}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
@@ -48,9 +48,10 @@ def one_run(workload: str, seed: int, seconds, trace: int) -> dict:
     result = json.loads(lines[-1])
     probe = [float(word.split("=")[1]) for line in lines for word in line.split() if word.startswith("probe_ms=")]
     unscaled = [json.loads(line.split("unscaled: ", 1)[1]) for line in lines if "unscaled: " in line]
+    samples = [json.loads(line.split("samples=", 1)[1]) for line in lines if "samples=" in line]
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "probe_ms": probe[0] if probe else None,
-            "unscaled": unscaled[0] if unscaled else {},
+            "unscaled": unscaled[0] if unscaled else {}, "samples": samples[0] if samples else {},
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -66,12 +67,19 @@ def summarize(runs: list[dict], spec: dict) -> None:
         bound = spec.get(name, {}).get("bound")
         print(f"{name:42s} {median:12.6g} {q1:12.6g} {q3:12.6g} {min(values):12.6g} {max(values):12.6g} "
               f"{share:7.3f} {bound if bound is not None else '-':>6}")
+    counts = {name: sorted({r["samples"].get(name) for r in runs}) for name in sorted(runs[0]["samples"])}
+    print(f"timed calls per run: {counts}")
     shares = sorted({r["failed"] / r["attempted"] for r in runs})
     print(f"runs {len(runs)}, all correct: {all(r['correct'] for r in runs)}, failed shares: {shares}")
 
 
 def compare(first: dict, second: dict, spec: dict) -> bool:
     ok = True
+    for label, runs in (("first", first["runs"]), ("second", second["runs"])):
+        wrong = [r["seed"] for r in runs if not r["correct"]]
+        if wrong:
+            print(f"FAIL {label} set: outputs wrong in the runs with seeds {wrong}")
+            ok = False
     for name, metric in spec.items():
         if name.startswith("_") or "bound" not in metric:
             continue
@@ -101,7 +109,6 @@ def main(argv=None) -> int:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=0)
     p.add_argument("--seconds", type=float, help="default: run_seconds from BENCHMARK.json")
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", help="write the runs to this JSON file")
     p = sub.add_parser("compare")
     p.add_argument("first")
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else spec["_seconds"]
     runs = []
     for i in range(args.runs):
-        runs.append(one_run(args.workload, args.seed0 + i, seconds, args.trace))
+        runs.append(one_run(args.workload, args.seed0 + i, seconds))
         print(f"seed {args.seed0 + i}: probe_ms={runs[-1]['probe_ms']} " + json.dumps(runs[-1]["metrics"]),
               flush=True)
     summarize(runs, spec)

@@ -11,6 +11,7 @@ import pytest
 
 import checks
 import gen
+import steady
 from tagrec import ingest, numeric, supervised, zsl
 from tracer import SpanTable, Tracer
 
@@ -191,3 +192,24 @@ def test_tracer_wraps_every_import_site_and_restores_them():
     assert table.calls("numeric.adam_step") == 2
     inner = table.total_s("numeric.adam_step")
     assert table.self_s("outer") == pytest.approx(table.total_s("outer") - inner)
+
+
+@pytest.mark.parametrize("method", ["conse", "eszsl", "dem"])
+def test_oracle_on_an_integer_matrix_with_a_divisor_matches_floats(method):
+    index = {t: i for i, t in enumerate(TINY_TOKENS)}
+    ints = (TINY_VECTORS * 1000).astype(np.int16)
+    floats = checks.RankOracle(_tiny_bundle(method), index, TINY_VECTORS, ["a", "b", "c"])
+    scaled = checks.RankOracle(_tiny_bundle(method), index, ints, ["a", "b", "c"], divisor=1000.0)
+    assert scaled.rank(["x", "y"]) == floats.rank(["x", "y"])
+
+
+def test_compare_fails_a_set_whose_outputs_were_wrong():
+    spec = {"cv_s": {"name": "cv_s", "better": "lower", "bound": 0.25}}
+
+    def runs(correct):
+        return {"runs": [{"seed": i, "correct": correct, "attempted": 10, "failed": 0,
+                          "metrics": {"cv_s": 4.0 + 0.01 * i}} for i in range(10)]}
+
+    assert steady.compare(runs(True), runs(True), spec)
+    assert not steady.compare(runs(True), runs(False), spec)
+    assert not steady.compare(runs(False), runs(True), spec)
