@@ -21,6 +21,12 @@ from contextlib import nullcontext, redirect_stdout
 import numpy as np
 
 
+# The probe also runs once after a timed call when this long has passed
+# since it last ran, so that its samples spread evenly over the run's
+# time, as the program's own time does.
+PROBE_EVERY_S = 0.25
+
+
 class ProgramFailed(Exception):
     """A program entry point reported failure (e.g. a non-zero exit code)."""
 
@@ -38,6 +44,7 @@ class Run:
         self.failed = 0
         self.problems: list[str] = []
         self._probe_buffer = np.ones(16_384)
+        self._next_probe = 0.0
 
     def call(self, metric, fn, *args, span=None):
         """Call the program once; time it into `metric` unless that is
@@ -56,6 +63,9 @@ class Run:
         elapsed = time.perf_counter() - start
         if metric is not None:
             self.samples[metric].append(elapsed)
+            if time.perf_counter() >= self._next_probe:
+                self.probe(1)
+                self._next_probe = time.perf_counter() + PROBE_EVERY_S
         return result
 
     def cli(self, metric, main, argv):

@@ -1,6 +1,6 @@
 """Run one benchmark workload against the tagrec sources in ../src.
 
-    python3 perfbench/run.py --workload pipeline|grid|serve --seed N --seconds S --trace 0|1
+    python3 perfbench/run.py --workload few|many --seed N --seconds S --trace 0|1
 
 With --trace 0 the last line of standard output is a JSON object with
 the end-to-end metrics; with --trace 1 the run wraps tagrec's public
@@ -24,15 +24,17 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import signal  # noqa: E402
+import statistics  # noqa: E402
 import tempfile  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-WORKLOADS = ("pipeline", "grid", "serve")
+WORKLOADS = ("few", "many")  # the keys of journey.SCALES
 # The machine's speed drifts by up to half in spells that outlast a run.
 # Every reported time is therefore scaled by PROBE_REF_S over the median
-# time of a fixed benchmark-owned probe timed between the rounds: it
+# time of a fixed benchmark-owned probe timed between the rounds and
+# between timed calls (harness.PROBE_EVERY_S): it
 # reads in seconds at the speed where the probe takes PROBE_REF_S, its
 # median on a quiet 2-core Xeon.
 PROBE_REF_S = 0.0037
@@ -60,8 +62,8 @@ def blas_build() -> str:
 
 
 def per_layer_metrics(table) -> dict:
-    """Per-layer figures shared by every workload; a layer that did no
-    work in the run is left out."""
+    """Per-layer figures; every workload does work in every layer, and
+    one that did none would be left out."""
     from gen import DROP_REASONS
 
     rank_spans = ("zsl.conse_rank", "zsl.eszsl_rank", "zsl.dem_rank")
@@ -71,8 +73,17 @@ def per_layer_metrics(table) -> dict:
         return sum(s.counts["rows"] for s in spans) / sum(s.duration for s in spans) if spans else None
 
     def candidates(t):
-        values = [v for name in rank_spans if (v := t.per_call_count(name, "candidates")) is not None]
-        return max(values) if values else None
+        """The most candidates one ranking call faced: serving's count,
+        not the 4 or 5 of the zero-shot cells."""
+        counts = [s.counts.get("candidates", 0) for name in rank_spans for s in t.spans(name) or []]
+        return max(counts) if counts else None
+
+    def serving_rank_us(t, name):
+        """Median time of the calls that faced `candidates(t)`
+        candidates: the serving side's, which moves `rank_*_ms`."""
+        most = candidates(t)
+        durations = [s.duration for s in t.spans(name) or [] if s.counts.get("candidates") == most]
+        return 1e6 * statistics.median(durations) if durations else None
 
     spec = [
         ("ingest.read_raw_jsonl.s", "s", lambda t: t.total_s("ingest.read_raw_jsonl")),
@@ -98,11 +109,11 @@ def per_layer_metrics(table) -> dict:
         ("supervised.extract_features_batch.s", "s", lambda t: t.total_s("supervised.extract_features_batch")),
         ("zsl.eszsl_fit.s", "s", lambda t: t.total_s("zsl.eszsl_fit")),
         ("zsl.dem_fit.self_s", "s", lambda t: t.self_s("zsl.dem_fit")),
-        ("zsl.conse_rank.us", "us", lambda t: t.per_call_us("zsl.conse_rank")),
-        ("zsl.eszsl_rank.us", "us", lambda t: t.per_call_us("zsl.eszsl_rank")),
-        ("zsl.dem_rank.us", "us", lambda t: t.per_call_us("zsl.dem_rank")),
+        ("zsl.conse_rank.us", "us", lambda t: serving_rank_us(t, "zsl.conse_rank")),
+        ("zsl.eszsl_rank.us", "us", lambda t: serving_rank_us(t, "zsl.eszsl_rank")),
+        ("zsl.dem_rank.us", "us", lambda t: serving_rank_us(t, "zsl.dem_rank")),
         ("zsl.candidates", "count", candidates),
-        ("zsl.attribute_matrix.us", "us", lambda t: t.per_call_us("zsl.attribute_matrix")),
+        ("zsl.attribute_matrix.us", "us", lambda t: serving_rank_us(t, "zsl.attribute_matrix")),
         ("zsl.recommend.p99_ms", "ms", lambda t: t.percentile_ms("zsl.recommend", 99)),
         ("zsl.load_zsl_bundle.self_s", "s", lambda t: t.self_s("zsl.load_zsl_bundle")),
         ("zsl.save_zsl_bundle.s", "s", lambda t: t.total_s("zsl.save_zsl_bundle")),
@@ -145,14 +156,8 @@ def main(argv=None) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
     import harness
+    from journey import Journey
     from tracer import SpanTable, Tracer
-
-    if args.workload == "pipeline":
-        from pipeline import Pipeline as Workload
-    elif args.workload == "grid":
-        from grid import Grid as Workload
-    else:
-        from serve import Serve as Workload
 
     tracer = Tracer() if args.trace else None
     if tracer:
@@ -162,7 +167,7 @@ def main(argv=None) -> int:
     workdir = tempfile.mkdtemp(prefix=".perfbench-", dir=ROOT)
     try:
         run = harness.Run(args.seed, workdir, tracer)
-        workload = Workload(run)
+        workload = Journey(run, args.workload)
         workload.setup()
         setup_s = time.perf_counter() - START
         if tracer:

@@ -4,7 +4,9 @@ generators must plant what they claim.
     python3 -m pytest perfbench/tests
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ import gen
 import steady
 from tagrec import ingest, numeric, supervised, zsl
 from tracer import SpanTable, Tracer
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def test_ranking_check_catches_a_swapped_pair():
@@ -213,3 +217,27 @@ def test_compare_fails_a_set_whose_outputs_were_wrong():
     assert steady.compare(runs(True), runs(True), spec)
     assert not steady.compare(runs(True), runs(False), spec)
     assert not steady.compare(runs(False), runs(True), spec)
+
+
+def test_workloads_match_the_manifest():
+    import journey
+    import run
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert [w["name"] for w in manifest["workloads"]] == list(run.WORKLOADS) == list(journey.SCALES)
+
+
+def test_rank_figures_follow_the_calls_with_the_most_candidates():
+    import run
+
+    tracer = Tracer()
+    tracer.phase = "round000"
+    for candidates in (4, 4, 4, 4, 400, 4, 400):
+        with tracer.span("zsl.conse_rank", candidates=candidates) as s:
+            pass
+        # the many-candidate calls are the slow ones
+        s.end = s.start + (1e-3 if candidates == 400 else 1e-5)
+    metrics = run.per_layer_metrics(SpanTable(tracer))
+    assert metrics["zsl.candidates"] == (400, "count")
+    assert metrics["zsl.conse_rank.us"][0] == pytest.approx(1e3)

@@ -131,7 +131,8 @@ class Tracer:
         cls = sys.modules["tagrec.zsl"].AttributeMatrix
         original = cls.__dict__["from_labels"]
         self._patched.append((cls, "from_labels", original))
-        cls.from_labels = classmethod(self._wrap("zsl.attribute_matrix", original.__func__, None))
+        cls.from_labels = classmethod(self._wrap("zsl.attribute_matrix", original.__func__,
+                                                 lambda a, r: {"candidates": len(r.labels)}))
 
     def uninstall(self) -> None:
         for owner, key, value in reversed(self._patched):
