@@ -19,21 +19,10 @@ import argparse
 import json
 import time
 
+from tagrec.cli import parse_int_list, parse_pair_list
 from tagrec.evaluate import ZslExperimentConfig, format_zsl_table, run_zsl_experiment
 from tagrec.supervised import TrainSpec
 from tagrec.synthetic import make_clustered_corpus
-
-
-def parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for item in text.split(","):
-        seen, unseen = item.strip().split("/")
-        pairs.append((int(seen), int(unseen)))
-    return pairs
-
-
-def parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in text.split(","))
 
 
 def main() -> int:
@@ -68,11 +57,11 @@ def main() -> int:
 
     shots = args.shots if args.setting == "fsl" else 0
     config = ZslExperimentConfig(
-        splits=parse_pairs(args.splits),
+        splits=parse_pair_list(args.splits),
         methods=tuple(m.strip() for m in args.methods.split(",")),
         setting=args.setting,
-        seeds=parse_ints(args.seeds),
-        ks=parse_ints(args.ks),
+        seeds=tuple(parse_int_list(args.seeds)),
+        ks=tuple(parse_int_list(args.ks)),
         gamma=args.gamma,
         shots_min=shots,
         shots_max=shots,

@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 from .embedding import SgnsConfig, build_vocab, load_embeddings, save_embeddings, train_sgns
 from .errors import DataError, NumericalError, UsageError
@@ -31,7 +31,8 @@ from .evaluate import (
     format_supervised_table,
     format_zsl_table,
     run_supervised_experiment,
-    run_zsl_experiment,
+    zsl_cells,
+    zsl_result,
 )
 from .ingest import (
     clean_text,
@@ -50,112 +51,118 @@ from .ingest import (
     write_clean_jsonl,
 )
 from .supervised import TrainSpec, save_baseline_bundle, train_baseline
-from .zsl import (
-    ZslBundle,
-    dem_fit,
-    eszsl_fit,
-    fsl_augment,
-    load_zsl_bundle,
-    make_conse,
-    make_split,
-    recommend,
-    save_zsl_bundle,
-    subset_by_labels,
-)
+from .zsl import load_zsl_bundle, recommend, save_zsl_bundle
 
 CONFIG_ENV_VAR = "TAGREC_CONFIG"
 
-DEFAULTS: dict[str, dict] = {
-    "ingest": {
-        "input": None,
-        "out": None,
-        "stopwords": None,
-        "top_n": 50,
-        "min_tweets": 200,
-        "labels_out": None,
-        "report_out": None,
-        "emb_corpus": None,
-    },
-    "train-embeddings": {
-        "corpus": None,
-        "out": None,
-        "dim": 150,
-        "window": 5,
-        "negatives": 5,
-        "epochs": 5,
-        "lr": 0.025,
-        "min_count": 1,
-        "seed": 0,
-        "subsample": None,
-    },
-    "train-baseline": {
-        "clean": None,
-        "embeddings": None,
-        "out": None,
-        "labels": None,
-        "top_n": 50,
-        "min_tweets": 200,
-        "epochs": 50,
-        "batch_size": 32,
-        "lr": 0.001,
-        "seed": 0,
-        "hidden": 1024,
-    },
-    "zsl": {
-        "clean": None,
-        "embeddings": None,
-        "labels": None,
-        "top_n": 50,
-        "min_tweets": 200,
-        "splits": "40/10,30/20,25/25",
-        "methods": "conse,eszsl,dem",
-        "seeds": "0,1,2,3,4",
-        "ks": "1,2,5",
-        "gamma": 1.0,
-        "conse_t": None,
-        "epochs": 50,
-        "batch_size": 32,
-        "lr": 0.001,
-        "hidden": 1024,
-        "dem_epochs": 50,
-        "dem_batch_size": 32,
-        "dem_lr": 0.001,
-        "out": None,
-        "save_bundle": None,
-    },
-    "eval": {
-        "clean": None,
-        "embeddings": None,
-        "labels": None,
-        "top_n": 50,
-        "min_tweets": 200,
-        "folds": 5,
-        "seed": 0,
-        "averaging": "micro",
-        "epochs": 50,
-        "batch_size": 32,
-        "lr": 0.001,
-        "hidden": 1024,
-        "out": None,
-    },
-    "recommend": {
-        "bundle": None,
-        "text": None,
-        "k": 5,
-        "candidates": None,
-        "stopwords": None,
-    },
-}
-DEFAULTS["fsl"] = {**DEFAULTS["zsl"], "shots": None, "shots_min": 5, "shots_max": 10}
 
-REQUIRED: dict[str, tuple[str, ...]] = {
-    "ingest": ("input", "out"),
-    "train-embeddings": ("corpus", "out"),
-    "train-baseline": ("clean", "embeddings", "out"),
-    "zsl": ("clean", "embeddings"),
-    "fsl": ("clean", "embeddings"),
-    "eval": ("clean", "embeddings"),
-    "recommend": ("bundle", "text"),
+class Option(NamedTuple):
+    """One option of a subcommand. `default` applies when neither the
+    command line nor the config file gives a value; `required` options
+    must end up with one from either."""
+
+    flags: tuple[str, ...]
+    dest: str
+    type: type
+    choices: tuple[str, ...] | None
+    default: object
+    required: bool
+    help: str | None
+
+
+def _opt(*flags, type=str, choices=None, default=None, required=False, help=None) -> Option:
+    dest = flags[0].removeprefix("--").replace("-", "_")
+    return Option(flags, dest, type, choices, default, required, help)
+
+
+_CATALOG = [
+    _opt("--top-n", type=int, default=50, help="label catalog size"),
+    _opt("--min-tweets", type=int, default=200, help="minimum tweets per label"),
+]
+_DATASET = [
+    _opt("--clean", required=True, help="cleaned JSONL from ingest"),
+    _opt("--embeddings", required=True, help="word2vec-format embedding file"),
+    _opt("--labels", help="label catalog JSON (default: derive with --top-n)"),
+    *_CATALOG,
+]
+_TRAIN = [
+    _opt("--epochs", type=int, default=50),
+    _opt("--batch-size", type=int, default=32),
+    _opt("--lr", type=float, default=0.001),
+    _opt("--hidden", type=int, default=1024),
+]
+_GRID = [
+    *_DATASET,
+    _opt("--splits", default="40/10,30/20,25/25",
+         help="comma-separated seen/unseen sizes, e.g. 40/10,30/20"),
+    _opt("--methods", default="conse,eszsl,dem", help="comma-separated subset of conse,eszsl,dem"),
+    _opt("--seeds", default="0,1,2,3,4", help="comma-separated seeds"),
+    _opt("--ks", default="1,2,5", help="comma-separated hit@K cutoffs"),
+    _opt("--gamma", type=float, default=1.0, help="bilinear-model regularization strength"),
+    _opt("--conse-t", type=int, help="labels combined per prediction"),
+    *_TRAIN,
+    _opt("--dem-epochs", type=int, default=50),
+    _opt("--dem-batch-size", type=int, default=32),
+    _opt("--dem-lr", type=float, default=0.001),
+    _opt("--out", help="also write results JSON here"),
+    _opt("--save-bundle",
+         help="save the grid's fitted ranker bundle (single split, method, seed)"),
+]
+_STOPWORDS = _opt("--stopwords", help="stopword file (default: bundled list)")
+
+# subcommand -> (help, options); flags, config-file keys, and defaults
+# all come from here
+COMMANDS: dict[str, tuple[str, list[Option]]] = {
+    "ingest": ("clean a raw tweet JSONL file", [
+        _opt("--input", "--in", required=True, help="raw tweet JSONL"),
+        _opt("--out", required=True, help="cleaned JSONL destination"),
+        _STOPWORDS,
+        *_CATALOG,
+        _opt("--labels-out", help="label catalog destination"),
+        _opt("--report-out", help="drop report destination"),
+        _opt("--emb-corpus",
+             help="also write a minimally cleaned text corpus for embedding training"),
+    ]),
+    "train-embeddings": ("train skip-gram embeddings", [
+        _opt("--corpus", required=True, help="text file, one sentence per line"),
+        _opt("--out", required=True, help="embedding destination (word2vec text format)"),
+        _opt("--dim", type=int, default=150),
+        _opt("--window", type=int, default=5),
+        _opt("--negatives", type=int, default=5),
+        _opt("--epochs", type=int, default=5),
+        _opt("--lr", type=float, default=0.025),
+        _opt("--min-count", type=int, default=1),
+        _opt("--seed", type=int, default=0),
+        _opt("--subsample", type=float, help="frequent-token subsampling threshold"),
+    ]),
+    "train-baseline": ("train the supervised classifier", [
+        *_DATASET,
+        _opt("--out", required=True, help="model bundle destination"),
+        _opt("--seed", type=int, default=0),
+        *_TRAIN,
+    ]),
+    "zsl": ("run the zsl evaluation grid", _GRID),
+    "fsl": ("run the fsl evaluation grid", [
+        *_GRID,
+        _opt("--shots", type=int, help="fixed shots per unseen label"),
+        _opt("--shots-min", type=int, default=5),
+        _opt("--shots-max", type=int, default=10),
+    ]),
+    "eval": ("cross-validate the supervised baseline", [
+        *_DATASET,
+        _opt("--folds", type=int, default=5),
+        _opt("--seed", type=int, default=0),
+        _opt("--averaging", choices=("micro", "macro"), default="micro"),
+        *_TRAIN,
+        _opt("--out", help="also write results JSON here"),
+    ]),
+    "recommend": ("rank candidate hashtags for one text", [
+        _opt("--bundle", required=True, help="ranker bundle from zsl/fsl --save-bundle"),
+        _opt("--text", required=True, help="the text to tag"),
+        _opt("--k", type=int, default=5),
+        _opt("--candidates", help="comma-separated candidate labels"),
+        _STOPWORDS,
+    ]),
 }
 
 
@@ -171,95 +178,11 @@ def build_parser() -> _Parser:
         help=f"JSON config file keyed by command name (default: ${CONFIG_ENV_VAR})",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("ingest", parents=[], help="clean a raw tweet JSONL file")
-    p.add_argument("--input", "--in", dest="input", help="raw tweet JSONL")
-    p.add_argument("--out", help="cleaned JSONL destination")
-    p.add_argument("--stopwords", help="stopword file (default: bundled list)")
-    p.add_argument("--top-n", dest="top_n", type=int, help="label catalog size")
-    p.add_argument("--min-tweets", dest="min_tweets", type=int, help="minimum tweets per label")
-    p.add_argument("--labels-out", dest="labels_out", help="label catalog destination")
-    p.add_argument("--report-out", dest="report_out", help="drop report destination")
-    p.add_argument(
-        "--emb-corpus",
-        dest="emb_corpus",
-        help="also write a minimally cleaned text corpus for embedding training",
-    )
-
-    p = sub.add_parser("train-embeddings", help="train skip-gram embeddings")
-    p.add_argument("--corpus", help="text file, one sentence per line")
-    p.add_argument("--out", help="embedding destination (word2vec text format)")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--subsample", type=float, help="frequent-token subsampling threshold")
-
-    p = sub.add_parser("train-baseline", help="train the supervised classifier")
-    _add_dataset_flags(p)
-    p.add_argument("--out", help="model bundle destination")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int)
-
-    for name in ("zsl", "fsl"):
-        p = sub.add_parser(name, help=f"run the {name} evaluation grid")
-        _add_dataset_flags(p)
-        p.add_argument("--splits", help="comma-separated seen/unseen sizes, e.g. 40/10,30/20")
-        p.add_argument("--methods", help="comma-separated subset of conse,eszsl,dem")
-        p.add_argument("--seeds", help="comma-separated seeds")
-        p.add_argument("--ks", help="comma-separated hit@K cutoffs")
-        p.add_argument("--gamma", type=float, help="bilinear-model regularization strength")
-        p.add_argument("--conse-t", dest="conse_t", type=int, help="labels combined per prediction")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--hidden", type=int)
-        p.add_argument("--dem-epochs", dest="dem_epochs", type=int)
-        p.add_argument("--dem-batch-size", dest="dem_batch_size", type=int)
-        p.add_argument("--dem-lr", dest="dem_lr", type=float)
-        p.add_argument("--out", help="also write results JSON here")
-        p.add_argument(
-            "--save-bundle",
-            dest="save_bundle",
-            help="fit and save one ranker bundle (single split, method, seed)",
-        )
-        if name == "fsl":
-            p.add_argument("--shots", type=int, help="fixed shots per unseen label")
-            p.add_argument("--shots-min", dest="shots_min", type=int)
-            p.add_argument("--shots-max", dest="shots_max", type=int)
-
-    p = sub.add_parser("eval", help="cross-validate the supervised baseline")
-    _add_dataset_flags(p)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--averaging", choices=("micro", "macro"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--out", help="also write results JSON here")
-
-    p = sub.add_parser("recommend", help="rank candidate hashtags for one text")
-    p.add_argument("--bundle", help="ranker bundle from zsl/fsl --save-bundle")
-    p.add_argument("--text", help="the text to tag")
-    p.add_argument("--k", type=int)
-    p.add_argument("--candidates", help="comma-separated candidate labels")
-    p.add_argument("--stopwords", help="stopword file (default: bundled list)")
+    for command, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in options:
+            p.add_argument(*o.flags, dest=o.dest, type=o.type, choices=o.choices, help=o.help)
     return parser
-
-
-def _add_dataset_flags(p) -> None:
-    p.add_argument("--clean", help="cleaned JSONL from ingest")
-    p.add_argument("--embeddings", help="word2vec-format embedding file")
-    p.add_argument("--labels", help="label catalog JSON (default: derive with --top-n)")
-    p.add_argument("--top-n", dest="top_n", type=int)
-    p.add_argument("--min-tweets", dest="min_tweets", type=int)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -284,18 +207,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if not isinstance(section, dict):
         raise DataError(f"config section {command!r} must be an object")
     resolved = {}
-    for key, default in DEFAULTS[command].items():
-        value = getattr(args, key, None)
+    for o in COMMANDS[command][1]:
+        value = getattr(args, o.dest)
         if value is None:
-            value = section.get(key, default)
-        resolved[key] = value
-    for key in REQUIRED[command]:
-        if resolved[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required for {command}")
+            value = section.get(o.dest, o.default)
+        if o.required and value is None:
+            raise UsageError(f"{o.flags[0]} is required for {command}")
+        resolved[o.dest] = value
     return resolved
 
 
-def _parse_pair_list(value) -> list[tuple[int, int]]:
+def parse_pair_list(value) -> list[tuple[int, int]]:
     items = value.split(",") if isinstance(value, str) else list(value)
     pairs = []
     for item in items:
@@ -314,7 +236,7 @@ def _parse_pair_list(value) -> list[tuple[int, int]]:
     return pairs
 
 
-def _parse_int_list(value) -> list[int]:
+def parse_int_list(value) -> list[int]:
     items = value.split(",") if isinstance(value, str) else list(value)
     try:
         result = [int(str(item).strip()) for item in items if str(item).strip()]
@@ -325,7 +247,7 @@ def _parse_int_list(value) -> list[int]:
     return result
 
 
-def _parse_str_list(value) -> list[str]:
+def parse_str_list(value) -> list[str]:
     items = value.split(",") if isinstance(value, str) else list(value)
     result = [str(item).strip() for item in items if str(item).strip()]
     if not result:
@@ -481,11 +403,11 @@ def _grid_config(cfg: dict, setting: str) -> ZslExperimentConfig:
     else:
         shots_min, shots_max = 0, 0
     return ZslExperimentConfig(
-        splits=_parse_pair_list(cfg["splits"]),
-        methods=tuple(_parse_str_list(cfg["methods"])),
+        splits=parse_pair_list(cfg["splits"]),
+        methods=tuple(parse_str_list(cfg["methods"])),
         setting=setting,
-        seeds=tuple(_parse_int_list(cfg["seeds"])),
-        ks=tuple(_parse_int_list(cfg["ks"])),
+        seeds=tuple(parse_int_list(cfg["seeds"])),
+        ks=tuple(parse_int_list(cfg["ks"])),
         gamma=cfg["gamma"],
         conse_T=cfg["conse_t"],
         shots_min=shots_min,
@@ -499,53 +421,18 @@ def _grid_config(cfg: dict, setting: str) -> ZslExperimentConfig:
     )
 
 
-def _fit_bundle(dataset, vocab, emb, zconfig: ZslExperimentConfig, method, seed) -> ZslBundle:
-    from .embedding import label_embedding
-    from .evaluate import _one_hot
-    from .supervised import extract_features_batch
-    from .zsl import AttributeMatrix
-
-    import numpy as np
-
-    n_seen, n_unseen = zconfig.splits[0]
-    split = make_split(dataset.label_set, n_seen, n_unseen, seed)
-    seen_set = subset_by_labels(dataset, split.seen)
-    if zconfig.setting == "fsl":
-        train_set, _ = fsl_augment(
-            seen_set,
-            subset_by_labels(dataset, split.unseen),
-            shots_min=zconfig.shots_min,
-            shots_max=zconfig.shots_max,
-            seed=seed,
-        )
-    else:
-        train_set = seen_set
-    classifier = train_baseline(train_set, vocab, emb, replace(zconfig.train, seed=seed))
-    if method == "conse":
-        head = make_conse(classifier, vocab, emb, T=zconfig.conse_T)
-    elif method == "eszsl":
-        X = extract_features_batch(
-            classifier, [tokens for tokens, _ in train_set.examples]
-        ).T
-        Y = _one_hot([label for _, label in train_set.examples], train_set.label_set)
-        A = AttributeMatrix.from_labels(train_set.label_set, vocab, emb)
-        head = eszsl_fit(X, Y, A.matrix, zconfig.gamma)
-    else:
-        feats = extract_features_batch(
-            classifier, [tokens for tokens, _ in train_set.examples]
-        )
-        S = np.stack(
-            [label_embedding(label, vocab, emb) for _, label in train_set.examples]
-        )
-        head = dem_fit(feats, S, replace(zconfig.dem_train, seed=seed))
-    return ZslBundle(method=method, classifier=classifier, head=head, split=split)
-
-
 def _cmd_grid(cfg: dict, setting: str) -> int:
+    zconfig = _grid_config(cfg, setting)
+    if cfg["save_bundle"] and (
+        len(zconfig.splits) != 1 or len(zconfig.methods) != 1 or len(zconfig.seeds) != 1
+    ):
+        raise UsageError("--save-bundle needs exactly one split, one method, and one seed")
     dataset = _load_dataset(cfg)
     vocab, emb = load_embeddings(cfg["embeddings"])
-    zconfig = _grid_config(cfg, setting)
-    result = run_zsl_experiment(dataset, vocab, emb, zconfig)
+    cells = []
+    for cell, bundle in zsl_cells(dataset, vocab, emb, zconfig):
+        cells.append(cell)
+    result = zsl_result(zconfig, cells)
     result["invocation"] = cfg
     print(json.dumps(result, sort_keys=True))
     print()
@@ -553,17 +440,6 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
     if cfg["out"]:
         _write_json(cfg["out"], result)
     if cfg["save_bundle"]:
-        if (
-            len(zconfig.splits) != 1
-            or len(zconfig.methods) != 1
-            or len(zconfig.seeds) != 1
-        ):
-            raise UsageError(
-                "--save-bundle needs exactly one split, one method, and one seed"
-            )
-        bundle = _fit_bundle(
-            dataset, vocab, emb, zconfig, zconfig.methods[0], zconfig.seeds[0]
-        )
         save_zsl_bundle(bundle, cfg["save_bundle"], cfg["embeddings"], config=cfg)
     return 0
 
@@ -590,7 +466,7 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_recommend(cfg: dict) -> int:
     bundle = load_zsl_bundle(cfg["bundle"])
     if cfg["candidates"]:
-        candidates = _parse_str_list(cfg["candidates"])
+        candidates = parse_str_list(cfg["candidates"])
     elif bundle.split is not None:
         candidates = bundle.split.unseen
     else:

@@ -10,11 +10,12 @@ renderers produce aligned tables with percentages to one decimal.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix, Vocabulary, label_embedding
+from .embedding import EmbeddingMatrix, Vocabulary
 from .errors import DataError
 from .ingest import Dataset
 from .supervised import (
@@ -25,14 +26,13 @@ from .supervised import (
 )
 from .zsl import (
     AttributeMatrix,
+    ZslBundle,
     conse_embed,
     conse_rank,
-    dem_fit,
     dem_rank,
-    eszsl_fit,
     eszsl_rank,
+    fit_bundles,
     fsl_augment,
-    make_conse,
     make_split,
     subset_by_labels,
 )
@@ -287,14 +287,6 @@ class ZslExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
 
 
-def _one_hot(labels, label_order) -> np.ndarray:
-    index = {label: i for i, label in enumerate(label_order)}
-    Y = np.zeros((len(labels), len(label_order)))
-    for row, label in enumerate(labels):
-        Y[row, index[label]] = 1.0
-    return Y
-
-
 def _config_json(config: ZslExperimentConfig) -> dict:
     return {
         "splits": [f"{a}/{b}" for a, b in config.splits],
@@ -311,23 +303,22 @@ def _config_json(config: ZslExperimentConfig) -> dict:
     }
 
 
-def run_zsl_experiment(
+def zsl_cells(
     dataset: Dataset,
     vocab: Vocabulary,
     emb: EmbeddingMatrix,
     config: ZslExperimentConfig,
-) -> dict:
-    """Grid of (split x method x seed) cells scored by Flat-Hit@K on
-    examples of the unseen labels.
+) -> Iterator[tuple[dict, ZslBundle]]:
+    """Yield (cell, bundle) for each (split x seed x method) cell of
+    the grid, in that nesting order; the bundle is the cell's fitted
+    ranker.
 
     Per (split, seed): the label pool is shuffled into seen/unseen, the
     feature extractor trains on the seen examples (plus the drawn shots
     when setting is fsl), each requested head is fitted on that train
     set, and every test example is ranked over the unseen labels. The
-    few-shot examples are removed from the test pool. Means are over
-    seeds within each (split, method).
+    few-shot examples are removed from the test pool.
     """
-    cells = []
     for n_seen, n_unseen in config.splits:
         for seed in config.seeds:
             split = make_split(dataset.label_set, n_seen, n_unseen, seed)
@@ -360,56 +351,46 @@ def run_zsl_experiment(
             unseen_attrs = AttributeMatrix.from_labels(split.unseen, vocab, emb)
             test_feats = extract_features_batch(classifier, test_tokens)
 
-            for method in config.methods:
-                if method == "conse":
-                    head = make_conse(classifier, vocab, emb, T=config.conse_T)
-                    probs = classifier.output.apply_batch(test_feats)
-                    rankings = [
-                        conse_rank(
-                            conse_embed(probs[i], head.seen_embeddings, head.T),
-                            unseen_attrs,
-                        ).labels()
-                        for i in range(len(test_examples))
-                    ]
-                elif method == "eszsl":
-                    X = extract_features_batch(
-                        classifier, [tokens for tokens, _ in train_set.examples]
-                    ).T
-                    Y = _one_hot(
-                        [label for _, label in train_set.examples], train_set.label_set
-                    )
-                    A = AttributeMatrix.from_labels(train_set.label_set, vocab, emb)
-                    model = eszsl_fit(X, Y, A.matrix, config.gamma)
-                    rankings = [
-                        eszsl_rank(model, test_feats[i], unseen_attrs).labels()
-                        for i in range(len(test_examples))
-                    ]
-                else:
-                    feats = extract_features_batch(
-                        classifier, [tokens for tokens, _ in train_set.examples]
-                    )
-                    S = np.stack(
-                        [
-                            label_embedding(label, vocab, emb)
-                            for _, label in train_set.examples
-                        ]
-                    )
-                    model = dem_fit(feats, S, replace(config.dem_train, seed=seed))
-                    rankings = [
-                        dem_rank(model, test_feats[i], unseen_attrs).labels()
-                        for i in range(len(test_examples))
-                    ]
+            for bundle in fit_bundles(
+                classifier,
+                train_set,
+                split,
+                config.methods,
+                config.gamma,
+                config.conse_T,
+                replace(config.dem_train, seed=seed),
+            ):
+                rankings = _rank_test_set(bundle, test_feats, unseen_attrs)
                 report = flat_hit_at_k(rankings, test_true, ks=config.ks)
-                cells.append(
-                    {
-                        "split": f"{n_seen}/{n_unseen}",
-                        "method": method,
-                        "setting": config.setting,
-                        "seed": seed,
-                        "n_test": len(test_examples),
-                        "hit_at": report.as_dict(),
-                    }
-                )
+                cell = {
+                    "split": f"{n_seen}/{n_unseen}",
+                    "method": bundle.method,
+                    "setting": config.setting,
+                    "seed": seed,
+                    "n_test": len(test_examples),
+                    "hit_at": report.as_dict(),
+                }
+                yield cell, bundle
+
+
+def _rank_test_set(
+    bundle: ZslBundle, test_feats: np.ndarray, unseen_attrs: AttributeMatrix
+) -> list[list[str]]:
+    if bundle.method == "conse":
+        probs = bundle.classifier.output.apply_batch(test_feats)
+        return [
+            conse_rank(
+                conse_embed(p, bundle.head.seen_embeddings, bundle.head.T), unseen_attrs
+            ).labels()
+            for p in probs
+        ]
+    rank = eszsl_rank if bundle.method == "eszsl" else dem_rank
+    return [rank(bundle.head, x, unseen_attrs).labels() for x in test_feats]
+
+
+def zsl_result(config: ZslExperimentConfig, cells: list[dict]) -> dict:
+    """The grid's result dict: the config, every cell, and the mean
+    hit rates over seeds within each (split, method)."""
     means = []
     for n_seen, n_unseen in config.splits:
         name = f"{n_seen}/{n_unseen}"
@@ -432,6 +413,20 @@ def run_zsl_experiment(
         "cells": cells,
         "means": means,
     }
+
+
+def run_zsl_experiment(
+    dataset: Dataset,
+    vocab: Vocabulary,
+    emb: EmbeddingMatrix,
+    config: ZslExperimentConfig,
+) -> dict:
+    """Grid of (split x method x seed) cells scored by Flat-Hit@K on
+    examples of the unseen labels (see zsl_cells). Means are over
+    seeds within each (split, method).
+    """
+    cells = [cell for cell, _ in zsl_cells(dataset, vocab, emb, config)]
+    return zsl_result(config, cells)
 
 
 def format_supervised_table(result: dict) -> str:

@@ -20,13 +20,16 @@ from .embedding import EmbeddingMatrix, Vocabulary, load_embeddings, mean_pool
 from .errors import DataError, NumericalError
 from .ingest import Dataset
 from .numeric import (
-    CROSS_ENTROPY_FLOOR,
     AdamState,
     DenseLayer,
     adam_step,
     softmax,
     xavier_uniform,
 )
+
+# probabilities are floored here before the log, so an exact zero for
+# the true class gives a large finite loss instead of inf
+CROSS_ENTROPY_FLOOR = 1e-12
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from .supervised import (
     baseline_bundle_dict,
     baseline_from_bundle_dict,
     extract_features,
+    extract_features_batch,
     file_sha256,
     predict_proba,
 )
@@ -209,29 +211,6 @@ def eszsl_fit(X: np.ndarray, Y: np.ndarray, A: np.ndarray, gamma: float) -> Eszs
     return EszslModel(W=W, gamma=gamma)
 
 
-def eszsl_objective(W, X, Y, A, gamma) -> float:
-    """The regularized least-squares objective whose exact minimizer is
-    the closed form used by eszsl_fit."""
-    fit = np.linalg.norm(X.T @ W @ A - Y) ** 2
-    reg = (
-        gamma * np.linalg.norm(W @ A) ** 2
-        + gamma * np.linalg.norm(X.T @ W) ** 2
-        + gamma**2 * np.linalg.norm(W) ** 2
-    )
-    return float(fit + reg)
-
-
-def eszsl_objective_grad(W, X, Y, A, gamma) -> np.ndarray:
-    """Analytic gradient of eszsl_objective with respect to W; zero at
-    the closed-form solution."""
-    return 2.0 * (
-        X @ (X.T @ W @ A - Y) @ A.T
-        + gamma * (W @ (A @ A.T))
-        + gamma * ((X @ X.T) @ W)
-        + gamma**2 * W
-    )
-
-
 def eszsl_rank(model: EszslModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by descending bilinear score x^T W a."""
     # one dot product per candidate: identical attribute columns then
@@ -377,6 +356,50 @@ class ZslBundle:
     classifier: BaselineClassifier
     head: ConseModel | EszslModel | DemModel
     split: ZslSplit | None = None
+
+
+def _one_hot(labels, label_order) -> np.ndarray:
+    index = {label: i for i, label in enumerate(label_order)}
+    Y = np.zeros((len(labels), len(label_order)))
+    for row, label in enumerate(labels):
+        Y[row, index[label]] = 1.0
+    return Y
+
+
+def fit_bundles(
+    classifier: BaselineClassifier,
+    train: Dataset,
+    split: ZslSplit | None,
+    methods,
+    gamma: float,
+    conse_T: int | None,
+    dem_spec: TrainSpec,
+) -> Iterator[ZslBundle]:
+    """Fit one head per method on the classifier's training set and
+    yield each as a ZslBundle, in method order.
+
+    ESZSL and DEM share one feature pass over the training examples,
+    made when the first of them is fitted; ConSE needs none.
+    """
+    vocab, emb = classifier.vocab, classifier.emb
+    feats = None
+    for method in methods:
+        if method in ("eszsl", "dem") and feats is None:
+            feats = extract_features_batch(
+                classifier, [tokens for tokens, _ in train.examples]
+            )
+        if method == "conse":
+            head = make_conse(classifier, vocab, emb, T=conse_T)
+        elif method == "eszsl":
+            Y = _one_hot([label for _, label in train.examples], train.label_set)
+            A = AttributeMatrix.from_labels(train.label_set, vocab, emb)
+            head = eszsl_fit(feats.T, Y, A.matrix, gamma)
+        elif method == "dem":
+            S = np.stack([label_embedding(label, vocab, emb) for _, label in train.examples])
+            head = dem_fit(feats, S, dem_spec)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        yield ZslBundle(method=method, classifier=classifier, head=head, split=split)
 
 
 def rank_candidates(bundle: ZslBundle, tokens, candidates) -> Prediction:

@@ -38,9 +38,10 @@ from tagrec.zsl import (
     dem_loss_and_grad,
     dem_rank,
     eszsl_fit,
-    eszsl_objective_grad,
     eszsl_rank,
 )
+
+from reference_math import eszsl_objective_grad
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_tweets.jsonl")

@@ -4,6 +4,7 @@ determinism, and the exit-code contract (0 ok, 1 usage, 2 data,
 3 numerical)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tagrec import cli
+from tagrec import cli, evaluate, zsl
 from tagrec.cli import main
 from tagrec.embedding import load_embeddings, save_embeddings
 from tagrec.errors import NumericalError
@@ -20,6 +21,7 @@ from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import load_zsl_bundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).parent.parent
 RAW = str(FIXTURES / "raw_tweets.jsonl")
 GOLDEN = FIXTURES / "clean_golden.jsonl"
 
@@ -442,12 +444,39 @@ class TestGridCommands:
         assert "no token of the text is in the model vocabulary" in err
 
     def test_save_bundle_needs_single_cell(self, capsys, tmp_path, world):
+        out = tmp_path / "results.json"
         code, _, err = run_cli(
             ["zsl", *world.data_flags, *FAST_GRID, "--methods", "conse",
-             "--seeds", "0,1", "--save-bundle", str(tmp_path / "b.json")],
+             "--seeds", "0,1", "--save-bundle", str(tmp_path / "b.json"),
+             "--out", str(out)],
             capsys,
         )
         assert code == 1 and "exactly one split, one method, and one seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["zsl", "fsl"])
+    def test_save_bundle_fits_once(self, capsys, tmp_path, world, monkeypatch, setting):
+        # count calls through every tagrec module that holds the function,
+        # so a second fitting path cannot hide behind its own import
+        calls = {"train_baseline": 0, "dem_fit": 0}
+        for original in (evaluate.train_baseline, zsl.dem_fit):
+            def counted(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "tagrec":
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counted)
+        bundle_path = tmp_path / "bundle.json"
+        code, _, _ = run_cli(
+            [setting, *world.data_flags, *FAST_GRID, "--methods", "dem",
+             "--save-bundle", str(bundle_path)],
+            capsys,
+        )
+        assert code == 0 and bundle_path.exists()
+        assert calls == {"train_baseline": 1, "dem_fit": 1}
 
     def test_bad_split_syntax(self, capsys, world):
         code, _, err = run_cli(
@@ -506,3 +535,18 @@ class TestExitCodeMapping:
         )
         assert code == 3
         assert "numerical error: loss diverged" in err
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (REPO / "scripts").glob("*.py"))
+)
+def test_script_help(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), "--help"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -20,8 +20,6 @@ from tagrec.zsl import (
     dem_loss_and_grad,
     dem_rank,
     eszsl_fit,
-    eszsl_objective,
-    eszsl_objective_grad,
     eszsl_rank,
     fsl_augment,
     load_zsl_bundle,
@@ -32,6 +30,8 @@ from tagrec.zsl import (
     save_zsl_bundle,
     subset_by_labels,
 )
+
+from reference_math import eszsl_objective, eszsl_objective_grad
 
 
 def _attr(matrix, labels):
