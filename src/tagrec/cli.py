@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from .embedding import SgnsConfig, build_vocab, load_embeddings, save_embeddings, train_sgns
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, not_utf8
 from .evaluate import (
     SupervisedExperimentConfig,
     ZslExperimentConfig,
@@ -335,8 +335,11 @@ def cmd_ingest(cfg: dict) -> int:
 
 
 def cmd_train_embeddings(cfg: dict) -> int:
-    with open(cfg["corpus"], "r", encoding="utf-8") as fh:
-        sentences = [line.split() for line in fh if line.split()]
+    try:
+        with open(cfg["corpus"], "r", encoding="utf-8") as fh:
+            sentences = [line.split() for line in fh if line.split()]
+    except UnicodeDecodeError as exc:
+        raise not_utf8(cfg["corpus"], exc) from exc
     vocab = build_vocab(sentences, min_count=cfg["min_count"])
     config = SgnsConfig(
         dim=cfg["dim"],

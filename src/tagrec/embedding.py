@@ -2,10 +2,13 @@
 utilities built on top of them (mean pooling, cosine, per-hashtag
 attribute vectors).
 
-The trainer is single-threaded and bit-deterministic given the seed:
-reproducibility matters more than throughput at the corpus sizes this
-package targets. Embeddings are exchanged in the word2vec text format
-("V d" header, then one "token v1 ... vd" row per word).
+The trainer makes one vectorized SGD update per sentence: all of a
+sentence's pairs are scored against the vectors as they stood when
+the sentence began, and their steps are added in pair order. No BLAS
+routine takes part in an update, so training is bit-deterministic
+given the seed, whatever the BLAS thread count. Embeddings are
+exchanged in the word2vec text format ("V d" header, then one
+"token v1 ... vd" row per word).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, not_utf8
 
 
 @dataclass
@@ -61,6 +64,10 @@ class SgnsConfig:
     subsample_threshold: float | None = None
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.negatives < 1:
@@ -86,17 +93,20 @@ def build_vocab(sentences: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
     return Vocabulary(tokens=tokens, counts=counts, index={t: i for i, t in enumerate(tokens)})
 
 
-def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:
-    """All (center, context) pairs with |i - j| <= window, in scan order."""
+def _pair_positions(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) of every skip-gram pair of an n-token sentence,
+    in scan order: i ascending, then j ascending, with 0 < |i - j| <= window."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    n = len(seq)
-    pairs = []
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if j != i:
-                pairs.append((seq[i], seq[j]))
-    return pairs
+    i = np.repeat(np.arange(n), 2 * window + 1)
+    j = i + np.tile(np.arange(-window, window + 1), n)
+    keep = (j >= 0) & (j < n) & (j != i)
+    return i[keep], j[keep]
+
+
+def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:
+    """All (center, context) pairs with |i - j| <= window, in scan order."""
+    return [(seq[i], seq[j]) for i, j in zip(*_pair_positions(len(seq), window))]
 
 
 def noise_distribution(vocab: Vocabulary) -> np.ndarray:
@@ -111,16 +121,26 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
+# bytes of the loss evaluation's largest gather, out[negatives[block]]
+_EVAL_BLOCK_BYTES = 4 << 20
+# most pairs in one update: a longer sentence is trained in consecutive
+# slices of this many. A frequent token collects one step per pair it
+# occurs in, and their sum at stale vectors grows with the slice: lines
+# of 1,000 Zipf-distributed tokens diverged at lr 0.1 with 512 pairs
+# and trained with 128. Tweets at window 5 make up to about 110 pairs.
+MAX_UPDATE_PAIRS = 128
+
+
 def _eval_pair_loss(
     inp: np.ndarray,
     out: np.ndarray,
     centers: np.ndarray,
     contexts: np.ndarray,
     negatives: np.ndarray,
-    block: int = 65536,
 ) -> float:
     """Mean per-pair loss over a fixed set of (center, context,
     negatives) triples; chunked so memory stays bounded."""
+    block = max(1, _EVAL_BLOCK_BYTES // (negatives.shape[1] * inp.shape[1] * inp.itemsize))
     total = 0.0
     for start in range(0, len(centers), block):
         sl = slice(start, start + block)
@@ -129,6 +149,36 @@ def _eval_pair_loss(
         neg = np.einsum("nd,nkd->nk", v, out[negatives[sl]])
         total -= float(_log_sigmoid(pos).sum() + _log_sigmoid(-neg).sum())
     return total / len(centers)
+
+
+def _add_rows(table: np.ndarray, rows: np.ndarray, deltas: np.ndarray) -> None:
+    """table[rows] += deltas, adding a repeated row's deltas in order.
+    np.add.at on the flat table is several times faster than on rows."""
+    d = table.shape[1]
+    flat = table.reshape(-1)  # a view: train_sgns's tables are C-contiguous
+    np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), deltas.ravel())
+
+
+def _sgns_update(
+    inp: np.ndarray,
+    out: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    steps: np.ndarray,
+) -> None:
+    """One SGD update for a run of pairs: every pair's gradient is taken
+    at the tables as they stand on entry, scaled by its own step size,
+    and the steps are added to the tables in pair order. einsum keeps
+    the sums out of BLAS, so they do not depend on its thread count."""
+    ids = np.concatenate((contexts[:, None], negatives), axis=1)
+    v = inp[centers]
+    u = out[ids]
+    g = expit(np.einsum("pd,pkd->pk", v, u))
+    g[:, 0] -= 1.0
+    grad_v = np.einsum("pk,pkd->pd", g, u)
+    _add_rows(inp, centers, -steps[:, None] * grad_v)
+    _add_rows(out, ids.ravel(), (-steps[:, None] * g)[:, :, None] * v[:, None, :])
 
 
 def train_sgns(
@@ -140,8 +190,13 @@ def train_sgns(
 
     Per (center, context) pair the loss is
     -log sigma(u_c . v_w) - sum_k log sigma(-u_nk . v_w) with the k
-    negatives drawn from the unigram^0.75 distribution; one SGD update
-    is applied per pair in scan order, with the step size decaying
+    negatives drawn from the unigram^0.75 distribution. One SGD update
+    is applied per sentence, in corpus order: every pair of the
+    sentence is scored against the vectors as they stood when the
+    sentence began, takes its own step size, and the steps are added
+    in pair order, so a row that occurs in several pairs receives all
+    of them. A sentence of more than MAX_UPDATE_PAIRS pairs is updated
+    in consecutive slices of that many. The step size decays per pair,
     linearly from the configured rate to 1e-4 of it over the run.
     Input vectors start uniform in [-0.5/d, 0.5/d], output vectors at
     zero.
@@ -158,9 +213,19 @@ def train_sgns(
     lr0 = config.learning_rate
     k = config.negatives
 
+    positions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def pairs_of(sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(sent) not in positions:
+            positions[len(sent)] = _pair_positions(len(sent), config.window)
+        i, j = positions[len(sent)]
+        return sent[i], sent[j]
+
     indexed = [
-        [vocab.index[t] for t in sentence if t in vocab.index] for sentence in sentences
+        np.array([vocab.index[t] for t in sentence if t in vocab.index], dtype=np.intp)
+        for sentence in sentences
     ]
+    sentence_pairs = [pairs_of(sent) for sent in indexed]
     noise_cdf = np.cumsum(noise_distribution(vocab))
     if config.subsample_threshold is not None:
         rel_freq = np.asarray(vocab.counts, dtype=float)
@@ -169,43 +234,30 @@ def train_sgns(
     else:
         keep_prob = None
 
-    all_pairs = [p for sent in indexed for p in skipgram_pairs(sent, config.window)]
-    if not all_pairs:
+    n_pairs = sum(len(centers) for centers, _ in sentence_pairs)
+    if not n_pairs:
         return EmbeddingMatrix(input_vectors=inp, output_vectors=out), []
-    eval_centers = np.array([w for w, _ in all_pairs], dtype=np.intp)
-    eval_contexts = np.array([c for _, c in all_pairs], dtype=np.intp)
+    eval_centers = np.concatenate([centers for centers, _ in sentence_pairs])
+    eval_contexts = np.concatenate([contexts for _, contexts in sentence_pairs])
     eval_rng = np.random.default_rng([config.seed, 1])
-    eval_negatives = np.searchsorted(
-        noise_cdf, eval_rng.random((len(all_pairs), k))
-    ).astype(np.intp)
+    eval_negatives = np.searchsorted(noise_cdf, eval_rng.random((n_pairs, k))).astype(np.intp)
 
-    planned = config.epochs * len(all_pairs)
+    planned = config.epochs * n_pairs
     processed = 0
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        for sent in indexed:
-            if keep_prob is not None and sent:
-                mask = rng.random(len(sent)) < keep_prob[sent]
-                sent = [w for w, m in zip(sent, mask) if m]
-            pairs = skipgram_pairs(sent, config.window)
-            if not pairs:
+        for sent, (centers, contexts) in zip(indexed, sentence_pairs):
+            if keep_prob is not None and len(sent):
+                centers, contexts = pairs_of(sent[rng.random(len(sent)) < keep_prob[sent]])
+            if not len(centers):
                 continue
-            negatives = np.searchsorted(noise_cdf, rng.random((len(pairs), k)))
-            for (w, c), negs in zip(pairs, negatives):
-                lr = lr0 * max(1e-4, 1.0 - processed / planned)
-                processed += 1
-                ids = np.empty(k + 1, dtype=np.intp)
-                ids[0] = c
-                ids[1:] = negs
-                v = inp[w]
-                u = out[ids]
-                scores = u @ v
-                g = expit(scores)
-                g[0] -= 1.0
-                grad_v = g @ u
-                # negatives may repeat, so accumulate rather than assign
-                np.add.at(out, ids, (-lr * g)[:, None] * v)
-                inp[w] = v - lr * grad_v
+            negatives = np.searchsorted(noise_cdf, rng.random((len(centers), k)))
+            pair_no = processed + np.arange(len(centers))
+            steps = lr0 * np.maximum(1e-4, 1.0 - pair_no / planned)
+            processed += len(centers)
+            for s in range(0, len(centers), MAX_UPDATE_PAIRS):
+                sl = slice(s, s + MAX_UPDATE_PAIRS)
+                _sgns_update(inp, out, centers[sl], contexts[sl], negatives[sl], steps[sl])
         mean_loss = _eval_pair_loss(inp, out, eval_centers, eval_contexts, eval_negatives)
         if not np.isfinite(mean_loss):
             raise NumericalError(
@@ -234,35 +286,38 @@ def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
     Counts are not part of the format, so every loaded token gets
     frequency 1; context vectors likewise start at zero.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:1: malformed header {header!r}")
-        try:
-            n_rows, dim = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:1: non-numeric header {header!r}") from exc
-        vectors = np.empty((n_rows, dim))
-        tokens: list[str] = []
-        index: dict[str, int] = {}
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(" ")
-            if len(tokens) >= n_rows:
-                raise DataError(f"{path}:{lineno}: more rows than header declares")
-            if len(fields) != dim + 1:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}"
-                )
-            token = fields[0]
-            if token in index:
-                raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            parts = header.split()
+            if len(parts) != 2:
+                raise DataError(f"{path}:1: malformed header {header!r}")
             try:
-                vectors[len(tokens)] = [float(f) for f in fields[1:]]
+                n_rows, dim = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field") from exc
-            index[token] = len(tokens)
-            tokens.append(token)
+                raise DataError(f"{path}:1: non-numeric header {header!r}") from exc
+            vectors = np.empty((n_rows, dim))
+            tokens: list[str] = []
+            index: dict[str, int] = {}
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split(" ")
+                if len(tokens) >= n_rows:
+                    raise DataError(f"{path}:{lineno}: more rows than header declares")
+                if len(fields) != dim + 1:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}"
+                    )
+                token = fields[0]
+                if token in index:
+                    raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+                try:
+                    vectors[len(tokens)] = [float(f) for f in fields[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-numeric field") from exc
+                index[token] = len(tokens)
+                tokens.append(token)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
     if len(tokens) != n_rows:
         raise DataError(f"{path}: header declares {n_rows} rows, found {len(tokens)}")
     vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index)
@@ -284,6 +339,12 @@ def mean_pool(
     return emb.input_vectors[rows].mean(axis=0), False
 
 
+# norms whose squares are normal floats, where np.linalg.norm is exact
+# to rounding
+_NORM_MIN = float(np.sqrt(np.finfo(float).tiny))
+_NORM_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; defined as 0 when either vector has zero norm."""
     u = np.asarray(u, dtype=float)
@@ -293,6 +354,11 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
+    if not (_NORM_MIN <= nu <= _NORM_MAX and _NORM_MIN <= nv <= _NORM_MAX):
+        # the squared norm left the normal range and lost its precision;
+        # the cosine does not change when a vector is scaled
+        u, v = u / np.abs(u).max(), v / np.abs(v).max()
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     return float(u @ v / (nu * nv))
 
 

@@ -27,3 +27,15 @@ class NumericalError(TagrecError):
 
 class NotPositiveDefiniteError(NumericalError):
     """A matrix expected to be symmetric positive definite is not."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The DataError for a text file that is not UTF-8, naming the file
+    and its first line that does not decode."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")

@@ -1,8 +1,10 @@
 """Reference math that only the tests use: a finite-difference
-gradient checker, a floored single-example cross-entropy, and the ESZSL
+gradient checker, a floored single-example cross-entropy, the ESZSL
 objective with its analytic gradient, whose minimizer is the closed
-form tagrec.zsl.eszsl_fit computes."""
+form tagrec.zsl.eszsl_fit computes, and a plain-loop skip-gram trainer
+with the update rule of tagrec.embedding.train_sgns."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,3 +115,74 @@ def eszsl_objective_grad(W, X, Y, A, gamma) -> np.ndarray:
         + gamma * ((X @ X.T) @ W)
         + gamma**2 * W
     )
+
+
+def sgns_reference(sentences, vocab, config, max_update_pairs: int):
+    """Skip-gram with negative sampling in plain loops, one update per
+    sentence (per slice of max_update_pairs pairs of a longer one):
+    each pair's gradient is taken at the vectors as they stood when the
+    update began, scaled by that pair's decayed step, and added in pair
+    order. Draws its random numbers in the order train_sgns does.
+
+    Returns (input vectors, output vectors, epoch losses, and one
+    (context, negatives) entry per trained pair).
+    """
+    rng = np.random.default_rng(config.seed)
+    V, d, k, w = len(vocab), config.dim, config.negatives, config.window
+    inp = (rng.random((V, d)) - 0.5) / d
+    out = np.zeros((V, d))
+    counts = np.asarray(vocab.counts, dtype=float)
+    noise_cdf = np.cumsum(counts**0.75 / (counts**0.75).sum())
+    keep_prob = None
+    if config.subsample_threshold is not None:
+        keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / (counts / counts.sum())))
+
+    def pairs(sent):
+        return [
+            (sent[i], sent[j])
+            for i in range(len(sent))
+            for j in range(max(0, i - w), min(len(sent), i + w + 1))
+            if j != i
+        ]
+
+    def dot(a, b):
+        return sum(float(x) * float(y) for x, y in zip(a, b))
+
+    def log_sigmoid(x):
+        return -float(np.logaddexp(0.0, -x))
+
+    indexed = [[vocab.index[t] for t in s if t in vocab.index] for s in sentences]
+    all_pairs = [p for sent in indexed for p in pairs(sent)]
+    eval_rng = np.random.default_rng([config.seed, 1])
+    eval_negatives = np.searchsorted(noise_cdf, eval_rng.random((len(all_pairs), k)))
+    planned = config.epochs * len(all_pairs)
+    processed = 0
+    losses, trained = [], []
+    for _ in range(config.epochs):
+        for sent in indexed:
+            if keep_prob is not None and sent:
+                mask = rng.random(len(sent)) < keep_prob[sent]
+                sent = [t for t, m in zip(sent, mask) if m]
+            sent_pairs = pairs(sent)
+            if not sent_pairs:
+                continue
+            negatives = np.searchsorted(noise_cdf, rng.random((len(sent_pairs), k)))
+            for start in range(0, len(sent_pairs), max_update_pairs):
+                inp0, out0 = inp.copy(), out.copy()
+                stop = start + max_update_pairs
+                for (center, context), negs in zip(sent_pairs[start:stop], negatives[start:stop]):
+                    lr = config.learning_rate * max(1e-4, 1.0 - processed / planned)
+                    processed += 1
+                    trained.append((context, [int(n) for n in negs]))
+                    targets = [(context, 1.0)] + [(int(n), 0.0) for n in negs]
+                    g = [1.0 / (1.0 + math.exp(-dot(inp0[center], out0[t]))) - label for t, label in targets]
+                    grad_v = sum(gj * out0[t] for gj, (t, _) in zip(g, targets))
+                    inp[center] += -lr * grad_v
+                    for gj, (t, _) in zip(g, targets):
+                        out[t] += (-lr * gj) * inp0[center]
+        total = 0.0
+        for (center, context), negs in zip(all_pairs, eval_negatives):
+            total -= log_sigmoid(dot(inp[center], out[context]))
+            total -= sum(log_sigmoid(-dot(inp[center], out[n])) for n in negs)
+        losses.append(total / len(all_pairs))
+    return inp, out, losses, trained

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tagrec import cli, evaluate, zsl
@@ -307,6 +308,47 @@ class TestTrainEmbeddingsCommand:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("flag,value", [("dim", 0), ("dim", -3), ("epochs", 0)])
+    def test_non_positive_size_is_usage_error(self, capsys, tmp_path, corpus_file, flag, value):
+        out = tmp_path / "emb.txt"
+        argv = self._argv(corpus_file, str(out))
+        argv[argv.index(f"--{flag}") + 1] = str(value)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and f"error: {flag} must be >= 1" in err
+        assert not out.exists()
+
+    def test_non_utf8_corpus_is_a_data_error(self, capsys, tmp_path):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes("red apple\ncaf\u00e9 noir\n".encode("latin-1"))
+        code, _, err = run_cli(self._argv(str(corpus), str(tmp_path / "emb.txt")), capsys)
+        assert code == 2 and f"data error: {corpus}:2: not UTF-8" in err
+
+    def test_vectors_do_not_depend_on_blas_threads(self, tmp_path):
+        # the trainer calls no BLAS routine, so how many threads BLAS
+        # may use cannot change a byte of the vectors
+        rng = np.random.default_rng(3)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "".join(" ".join(f"w{j}" for j in rng.integers(0, 300, size=60)) + "\n"
+                    for _ in range(40)),
+            encoding="ascii",
+        )
+        vectors = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+            )
+            out = tmp_path / f"emb{threads}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tagrec.cli", "train-embeddings", "--corpus", str(corpus),
+                 "--out", str(out), "--dim", "64", "--epochs", "2", "--seed", "0"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            vectors[threads] = out.read_bytes()
+        assert vectors["1"] == vectors["2"]
+
 
 class TestTrainBaselineCommand:
     def test_trains_and_saves_bundle(self, capsys, tmp_path, world):
@@ -322,6 +364,16 @@ class TestTrainBaselineCommand:
         payload = json.loads(stdout)
         assert payload["n_labels"] == 6
         assert isinstance(payload["final_loss"], float)
+
+    def test_non_utf8_embeddings_are_a_data_error(self, capsys, tmp_path, world):
+        vectors = tmp_path / "latin1.txt"
+        vectors.write_bytes("1 2\ncaf\u00e9 0.5 0.25\n".encode("latin-1"))
+        flags = list(world.data_flags)
+        flags[flags.index("--embeddings") + 1] = str(vectors)
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
+        )
+        assert code == 2 and f"data error: {vectors}:2: not UTF-8" in err
 
     def test_label_catalog_restricts_and_orders(self, capsys, tmp_path, world):
         subset = sorted(world.corpus.dataset.label_set)[:3][::-1]

@@ -2,13 +2,16 @@
 trainer, the word2vec text IO, and the pooling/cosine utilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_math import sgns_reference
 from tagrec.embedding import (
+    MAX_UPDATE_PAIRS,
     EmbeddingMatrix,
     SgnsConfig,
     Vocabulary,
@@ -195,6 +198,71 @@ class TestTrainSgns:
             SgnsConfig(negatives=0)
         with pytest.raises(ValueError, match="learning_rate"):
             SgnsConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="dim"):
+            SgnsConfig(dim=0)
+        with pytest.raises(ValueError, match="dim"):
+            SgnsConfig(dim=-3)
+        with pytest.raises(ValueError, match="epochs"):
+            SgnsConfig(epochs=0)
+
+    def _assert_matches_reference(self, sentences, cfg):
+        vocab = build_vocab(sentences)
+        emb, losses = train_sgns(sentences, vocab, cfg)
+        inp, out, ref_losses, trained = sgns_reference(sentences, vocab, cfg, MAX_UPDATE_PAIRS)
+        np.testing.assert_allclose(emb.input_vectors, inp, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(emb.output_vectors, out, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        return trained
+
+    def test_matches_plain_loop_reference(self):
+        # "a" repeats within its sentence, and with three words some
+        # negative is bound to equal its pair's context
+        sentences = [["a", "b", "a", "c"], ["b", "c"], ["c", "a", "b", "b", "a"], ["a"]]
+        cfg = SgnsConfig(dim=6, window=2, negatives=3, epochs=3, learning_rate=0.2, seed=4)
+        trained = self._assert_matches_reference(sentences, cfg)
+        assert any(context in negs for context, negs in trained)
+
+    def test_matches_reference_with_subsampling(self):
+        sentences = self._tiny_corpus()[:12]
+        cfg = SgnsConfig(dim=5, window=2, negatives=2, epochs=2, seed=1, subsample_threshold=0.05)
+        self._assert_matches_reference(sentences, cfg)
+
+    def test_long_sentence_is_updated_in_slices(self):
+        # 300 tokens with window 2 make 1,194 pairs, several updates
+        rng = np.random.default_rng(5)
+        sentences = [[f"w{j}" for j in rng.integers(0, 20, size=300)], ["w1", "w2"]]
+        cfg = SgnsConfig(dim=4, window=2, negatives=2, epochs=1, learning_rate=0.05, seed=2)
+        assert len(skipgram_pairs(sentences[0], 2)) > 2 * MAX_UPDATE_PAIRS
+        self._assert_matches_reference(sentences, cfg)
+
+    def test_long_lines_with_a_frequent_token_converge(self):
+        # about 15% of the tokens are one word; summed over 512-pair
+        # updates its steps diverged at this step size
+        rng = np.random.default_rng(0)
+        sentences = [
+            [f"w{z}" for z in rng.zipf(1.1, size=4000) if z <= 20000][:1000]
+            for _ in range(4)
+        ]
+        vocab = build_vocab(sentences)
+        cfg = SgnsConfig(dim=20, epochs=2, learning_rate=0.1, seed=0)
+        _, losses = train_sgns(sentences, vocab, cfg)
+        assert all(math.isfinite(x) and x < 3.0 for x in losses)
+        assert losses[-1] < losses[0]
+
+    def test_loss_evaluation_memory_is_bounded(self):
+        # one epoch at the CLI defaults (dim 150, window 5) over 70,000
+        # pairs; a loss evaluation that gathers every pair's negative
+        # vectors at once peaks at 488 MB here
+        rng = np.random.default_rng(0)
+        sentences = [[f"w{j}" for j in rng.integers(0, 2000, size=10)] for _ in range(1000)]
+        vocab = build_vocab(sentences)
+        tracemalloc.start()
+        try:
+            train_sgns(sentences, vocab, SgnsConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestSynonymGeometry:
@@ -279,6 +347,12 @@ class TestEmbeddingIO:
         with pytest.raises(DataError, match=match):
             load_embeddings(path)
 
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("2 1\nok 0.5\ncaf\u00e9 0.25\n".encode("latin-1"))
+        with pytest.raises(DataError, match=r"latin1\.txt:3: not UTF-8"):
+            load_embeddings(path)
+
 
 class TestLookupUtilities:
     def _fixture(self):
@@ -327,17 +401,28 @@ class TestLookupUtilities:
             cosine([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_cosine_symmetric_and_bounded(self, u, data):
-        v = data.draw(
-            st.lists(st.floats(-1e6, 1e6), min_size=len(u), max_size=len(u))
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+                st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+            )
         )
+    )
+    # a norm whose square is subnormal once gave 1.0000047
+    @example(([1.0, 0.0], [1.05e-160, 0.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_cosine_symmetric_and_bounded(self, uv):
+        u, v = uv
         s = cosine(u, v)
         assert s == pytest.approx(cosine(v, u), abs=1e-12)
         assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
+
+    # np.linalg.norm warns when the huge vector's square overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cosine_of_tiny_and_huge_vectors(self):
+        assert cosine([1.0, 0.0], [1.05e-160, 0.0]) == 1.0
+        assert cosine([3e-170, 4e-170], [4e-170, -3e-170]) == 0.0
+        assert cosine([-1e200, 0.0], [1e200, 0.0]) == -1.0
 
     def test_label_embedding_returns_hashtag_row(self):
         vocab, emb = self._fixture()
