@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from .embedding import SgnsConfig, build_vocab, load_embeddings, save_embeddings, train_sgns
-from .errors import DataError, NumericalError, UsageError, not_utf8
+from .errors import DataError, NumericalError, UsageError, not_text
 from .evaluate import (
     SupervisedExperimentConfig,
     ZslExperimentConfig,
@@ -193,6 +193,8 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
@@ -269,8 +271,13 @@ def _derived_path(out: str, suffix: str) -> str:
 def _load_dataset(cfg):
     corpus = corpus_from_clean(read_clean_jsonl(cfg["clean"]))
     if cfg["labels"]:
-        with open(cfg["labels"], "r", encoding="ascii") as fh:
-            catalog = json.load(fh)
+        try:
+            with open(cfg["labels"], "r", encoding="ascii") as fh:
+                catalog = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise not_text(cfg["labels"], exc) from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{cfg['labels']}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
         labels = catalog.get("labels") if isinstance(catalog, dict) else catalog
         if not isinstance(labels, list) or not labels:
             raise DataError(f"{cfg['labels']}: expected a non-empty label list")
@@ -339,7 +346,7 @@ def cmd_train_embeddings(cfg: dict) -> int:
         with open(cfg["corpus"], "r", encoding="utf-8") as fh:
             sentences = [line.split() for line in fh if line.split()]
     except UnicodeDecodeError as exc:
-        raise not_utf8(cfg["corpus"], exc) from exc
+        raise not_text(cfg["corpus"], exc) from exc
     vocab = build_vocab(sentences, min_count=cfg["min_count"])
     config = SgnsConfig(
         dim=cfg["dim"],

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericalError, not_utf8
+from .errors import DataError, NumericalError, not_text
 
 
 @dataclass
@@ -317,7 +317,7 @@ def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
                 index[token] = len(tokens)
                 tokens.append(token)
     except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from exc
+        raise not_text(path, exc) from exc
     if len(tokens) != n_rows:
         raise DataError(f"{path}: header declares {n_rows} rows, found {len(tokens)}")
     vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index)
@@ -341,22 +341,23 @@ def mean_pool(
 
 # norms whose squares are normal floats, where np.linalg.norm is exact
 # to rounding
-_NORM_MIN = float(np.sqrt(np.finfo(float).tiny))
-_NORM_MAX = float(np.sqrt(np.finfo(float).max))
+NORM_MIN = float(np.sqrt(np.finfo(float).tiny))
+NORM_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; defined as 0 when either vector has zero norm."""
+    """Cosine similarity; defined as 0 when either vector is zero."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if not (_NORM_MIN <= nu <= _NORM_MAX and _NORM_MIN <= nv <= _NORM_MAX):
-        # the squared norm left the normal range and lost its precision;
-        # the cosine does not change when a vector is scaled
+    if not (NORM_MIN <= nu <= NORM_MAX and NORM_MIN <= nv <= NORM_MAX):
+        # the squared norm left the normal range (or underflowed to 0) and
+        # lost its precision; the cosine does not change when a vector is
+        # scaled
+        if not (u.any() and v.any()):
+            return 0.0
         u, v = u / np.abs(u).max(), v / np.abs(v).max()
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     return float(u @ v / (nu * nv))

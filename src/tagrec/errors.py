@@ -29,13 +29,15 @@ class NotPositiveDefiniteError(NumericalError):
     """A matrix expected to be symmetric positive definite is not."""
 
 
-def not_utf8(path, exc: UnicodeDecodeError) -> DataError:
-    """The DataError for a text file that is not UTF-8, naming the file
-    and its first line that does not decode."""
+def not_text(path, exc: UnicodeDecodeError) -> DataError:
+    """The DataError for a text file that does not decode in the encoding
+    it was read with, naming the file and its first line that does not
+    decode."""
+    name = {"utf-8": "UTF-8", "ascii": "ASCII"}.get(exc.encoding, exc.encoding)
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
+                line.decode(exc.encoding)
             except UnicodeDecodeError:
-                return DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
-    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+                return DataError(f"{path}:{lineno}: not {name} text ({exc.reason})")
+    return DataError(f"{path}: not {name} text ({exc.reason})")

@@ -27,13 +27,10 @@ from .supervised import (
 from .zsl import (
     AttributeMatrix,
     ZslBundle,
-    conse_embed,
-    conse_rank,
-    dem_rank,
-    eszsl_rank,
     fit_bundles,
     fsl_augment,
     make_split,
+    rank_features,
     subset_by_labels,
 )
 
@@ -378,14 +375,11 @@ def _rank_test_set(
 ) -> list[list[str]]:
     if bundle.method == "conse":
         probs = bundle.classifier.output.apply_batch(test_feats)
-        return [
-            conse_rank(
-                conse_embed(p, bundle.head.seen_embeddings, bundle.head.T), unseen_attrs
-            ).labels()
-            for p in probs
-        ]
-    rank = eszsl_rank if bundle.method == "eszsl" else dem_rank
-    return [rank(bundle.head, x, unseen_attrs).labels() for x in test_feats]
+    else:
+        probs = [None] * len(test_feats)
+    return [
+        rank_features(bundle, x, unseen_attrs, p).labels() for x, p in zip(test_feats, probs)
+    ]
 
 
 def zsl_result(config: ZslExperimentConfig, cells: list[dict]) -> dict:

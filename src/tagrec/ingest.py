@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .errors import DataError, MalformedRecordError
+from .errors import DataError, MalformedRecordError, not_text
 
 logger = logging.getLogger(__name__)
 
@@ -248,11 +248,14 @@ def load_stopwords(path) -> set[str]:
     """One lowercase token per line; '#'-prefixed comment lines and
     blank lines are ignored."""
     words = set()
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for line in fh:
+                word = line.strip()
+                if word and not word.startswith("#"):
+                    words.add(word)
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
     return words
 
 
@@ -271,17 +274,20 @@ def read_raw_jsonl(path) -> list[dict]:
     line aborts with its line number; semantically incomplete records
     are left for filter_corpus to count."""
     objects = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            objects.append(obj)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: expected a JSON object")
+                objects.append(obj)
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
     return objects
 
 
@@ -300,17 +306,22 @@ def write_clean_jsonl(tweets: Sequence[CleanTweet], path) -> None:
 
 def read_clean_jsonl(path) -> list[CleanTweet]:
     tweets = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                tweets.append(
-                    CleanTweet(id=obj["id"], tokens=list(obj["tokens"]), labels=set(obj["labels"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad clean-tweet record") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    tweets.append(
+                        CleanTweet(
+                            id=obj["id"], tokens=list(obj["tokens"]), labels=set(obj["labels"])
+                        )
+                    )
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise DataError(f"{path}:{lineno}: bad clean-tweet record") from exc
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
     return tweets
 
 

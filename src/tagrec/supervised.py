@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embedding import EmbeddingMatrix, Vocabulary, load_embeddings, mean_pool
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, not_text
 from .ingest import Dataset
 from .numeric import (
     AdamState,
@@ -208,7 +209,41 @@ def save_baseline_bundle(
         fh.write("\n")
 
 
+def read_bundle(path) -> dict:
+    """The JSON object of a model bundle file; a file that is not ASCII
+    JSON holding an object raises a DataError naming it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
+
+
+@contextmanager
+def bundle_fields(path):
+    """Turn a missing field, or a field of the wrong type or shape, met
+    while building a model from a bundle into a DataError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: bundle has no {exc.args[0]!r} field") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed bundle ({exc})") from exc
+
+
+def expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+
+
 def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassifier:
+    hidden, output = _layer_from_json(obj["hidden"]), _layer_from_json(obj["output"])
+    label_order = list(obj["label_order"])
     emb_path = obj["embedding"]["path"]
     if not os.path.isabs(emb_path):
         emb_path = os.path.join(base_dir, emb_path)
@@ -220,10 +255,12 @@ def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassif
             f"embedding file {emb_path!r} hash {actual} does not match bundle"
         )
     vocab, emb = load_embeddings(emb_path)
+    expect_shape("hidden weights", hidden.weights, (len(hidden.bias), emb.dim))
+    expect_shape("output weights", output.weights, (len(label_order), len(hidden.bias)))
     return BaselineClassifier(
-        hidden=_layer_from_json(obj["hidden"]),
-        output=_layer_from_json(obj["output"]),
-        label_order=list(obj["label_order"]),
+        hidden=hidden,
+        output=output,
+        label_order=label_order,
         vocab=vocab,
         emb=emb,
         loss_history=list(obj.get("loss_history", [])),
@@ -231,8 +268,8 @@ def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassif
 
 
 def load_baseline_bundle(path) -> BaselineClassifier:
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+    obj = read_bundle(path)
     if obj.get("kind") != "baseline":
         raise DataError(f"{path}: not a baseline model bundle")
-    return baseline_from_bundle_dict(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    with bundle_fields(path):
+        return baseline_from_bundle_dict(obj, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -12,8 +12,13 @@ vectors (the word embedding of each '#label' token).
 - DEM maps attribute vectors into feature space through one ReLU layer
   trained by least squares and ranks by distance to x.
 
-Ties everywhere break by candidate order, which makes every ranking
-reproducible and testable.
+Each ranker scores every candidate with a handful of array operations
+per text. Ties everywhere break by candidate order, which makes every
+ranking reproducible and testable. That rule needs identical attribute
+columns to score bit-identically, which a BLAS product does not
+promise: ConSE and ESZSL sum an elementwise product over the attribute
+axis, where every column goes through the same IEEE operations, and
+DEM maps each distinct column once and shares its score.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix, Vocabulary, cosine, label_embedding
+from .embedding import (
+    NORM_MAX,
+    NORM_MIN,
+    EmbeddingMatrix,
+    Vocabulary,
+    cosine,
+    label_embedding,
+)
 from .errors import DataError, NotPositiveDefiniteError, NumericalError
 from .ingest import Dataset
 from .numeric import AdamState, DenseLayer, adam_step, relu, xavier_uniform
@@ -35,10 +47,12 @@ from .supervised import (
     TrainSpec,
     baseline_bundle_dict,
     baseline_from_bundle_dict,
+    bundle_fields,
+    expect_shape,
     extract_features,
     extract_features_batch,
     file_sha256,
-    predict_proba,
+    read_bundle,
 )
 
 logger = logging.getLogger(__name__)
@@ -70,9 +84,14 @@ class AttributeMatrix:
         cls, labels, vocab: Vocabulary, emb: EmbeddingMatrix
     ) -> "AttributeMatrix":
         labels = list(labels)
-        cols = [label_embedding(label, vocab, emb) for label in labels]
+        try:
+            rows = [vocab.index["#" + label] for label in labels]
+        except KeyError:
+            for label in labels:
+                label_embedding(label, vocab, emb)  # raises for the first missing label
+            raise
         return cls(
-            matrix=np.stack(cols, axis=1),
+            matrix=emb.input_vectors[rows].T,
             labels=labels,
             label_index={label: i for i, label in enumerate(labels)},
         )
@@ -118,9 +137,16 @@ class Prediction:
         return Prediction(ranked=self.ranked[:k], all_oov=self.all_oov)
 
 
-def _ranked(labels, scores) -> Prediction:
-    order = sorted(range(len(labels)), key=lambda i: (-scores[i], i))
-    return Prediction(ranked=[(labels[i], float(scores[i])) for i in order])
+def _ranked(labels, scores: np.ndarray) -> Prediction:
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return Prediction(ranked=list(zip([labels[i] for i in order], scores[order].tolist())))
+
+
+def _column_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v . A[:, j] for every column j, as an elementwise product summed
+    over the attribute axis: every column goes through the same IEEE
+    operations, so identical columns give bit-identical dots."""
+    return np.multiply(A, v[:, None]).sum(axis=0)
 
 
 def make_split(labels, n_seen: int, n_unseen: int, seed: int) -> ZslSplit:
@@ -167,8 +193,23 @@ def conse_embed(probs: np.ndarray, seen_embeddings: AttributeMatrix, T: int) -> 
 
 
 def conse_rank(f_x: np.ndarray, unseen_embeddings: AttributeMatrix) -> Prediction:
-    """Candidates by descending cosine to the combined embedding."""
-    scores = [cosine(f_x, unseen_embeddings.matrix[:, i]) for i in range(len(unseen_embeddings.labels))]
+    """Candidates by descending cosine to the combined embedding, with
+    `cosine`'s rules: a zero norm scores 0, and a column whose norm
+    leaves the normal float range is scored by `cosine` itself."""
+    A = unseen_embeddings.matrix
+    f = np.asarray(f_x, dtype=float)
+    nf = np.linalg.norm(f)
+    if nf == 0.0:
+        return _ranked(unseen_embeddings.labels, np.zeros(A.shape[1]))
+    norms = np.sqrt((A * A).sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _column_dots(A, f) / (norms * nf)
+    if NORM_MIN <= nf <= NORM_MAX:
+        odd = np.flatnonzero(~((norms >= NORM_MIN) & (norms <= NORM_MAX)))
+    else:
+        odd = range(A.shape[1])
+    for i in odd:
+        scores[i] = cosine(f, A[:, i])
     return _ranked(unseen_embeddings.labels, scores)
 
 
@@ -213,11 +254,10 @@ def eszsl_fit(X: np.ndarray, Y: np.ndarray, A: np.ndarray, gamma: float) -> Eszs
 
 def eszsl_rank(model: EszslModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by descending bilinear score x^T W a."""
-    # one dot product per candidate: identical attribute columns then
-    # score bit-identically, so the label-order tie rule stays exact
-    xw = x @ model.W
-    scores = [float(xw @ unseen_attrs.matrix[:, i]) for i in range(len(unseen_attrs.labels))]
-    return _ranked(unseen_attrs.labels, scores)
+    # x^T W once, then the elementwise dots of _column_dots rather than
+    # one BLAS product: identical attribute columns score bit-identically,
+    # so the label-order tie rule stays exact
+    return _ranked(unseen_attrs.labels, _column_dots(unseen_attrs.matrix, x @ model.W))
 
 
 def dem_loss_and_grad(
@@ -274,14 +314,25 @@ def dem_fit(
 def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by ascending Euclidean distance between x and each
     mapped attribute vector; score is the negated distance."""
-    # per-candidate evaluation, for the same tie-exactness reason as
-    # eszsl_rank
-    W, b = model.mapper.weights, model.mapper.bias
-    scores = [
-        -float(np.linalg.norm(relu(W @ unseen_attrs.matrix[:, i] + b) - x))
-        for i in range(len(unseen_attrs.labels))
-    ]
-    return _ranked(unseen_attrs.labels, scores)
+    # BLAS does not promise equal rounding for equal columns of one
+    # product, so identical columns are collapsed first (keyed by their
+    # bytes; adding 0.0 turns -0.0 into 0.0) and every distinct column is
+    # mapped once, in one GEMM: exact ties stay exact
+    A = unseen_attrs.matrix
+    slots: dict[bytes, int] = {}
+    firsts, inverse = [], []
+    for j, column in enumerate(np.add(A.T, 0.0, order="C")):
+        slot = slots.setdefault(column.tobytes(), len(slots))
+        if slot == len(firsts):
+            firsts.append(j)
+        inverse.append(slot)
+    # one row per distinct column, updated in place: relu(W a + b) - x
+    diff = A[:, firsts].T @ model.mapper.weights.T
+    diff += model.mapper.bias
+    np.maximum(diff, 0.0, out=diff)
+    diff -= x
+    scores = -np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return _ranked(unseen_attrs.labels, scores[inverse])
 
 
 def make_conse(
@@ -402,19 +453,28 @@ def fit_bundles(
         yield ZslBundle(method=method, classifier=classifier, head=head, split=split)
 
 
+def rank_features(
+    bundle: ZslBundle, x: np.ndarray, attrs: AttributeMatrix, probs: np.ndarray | None = None
+) -> Prediction:
+    """Run the bundle's ranker over `attrs`' candidates for one tweet
+    with feature vector x. ConSE also needs the classifier's label
+    probabilities, computed from x unless the caller has them."""
+    if bundle.method == "conse":
+        if probs is None:
+            probs = bundle.classifier.output.apply(x)
+        return conse_rank(conse_embed(probs, bundle.head.seen_embeddings, bundle.head.T), attrs)
+    if bundle.method == "eszsl":
+        return eszsl_rank(bundle.head, x, attrs)
+    if bundle.method == "dem":
+        return dem_rank(bundle.head, x, attrs)
+    raise ValueError(f"unknown method {bundle.method!r}")
+
+
 def rank_candidates(bundle: ZslBundle, tokens, candidates) -> Prediction:
     """Run the appropriate ranker over the candidate labels for one
     tokenized tweet."""
     attrs = AttributeMatrix.from_labels(candidates, bundle.classifier.vocab, bundle.classifier.emb)
-    if bundle.method == "conse":
-        probs = predict_proba(bundle.classifier, tokens)
-        f_x = conse_embed(probs, bundle.head.seen_embeddings, bundle.head.T)
-        return conse_rank(f_x, attrs)
-    if bundle.method == "eszsl":
-        return eszsl_rank(bundle.head, extract_features(bundle.classifier, tokens), attrs)
-    if bundle.method == "dem":
-        return dem_rank(bundle.head, extract_features(bundle.classifier, tokens), attrs)
-    raise ValueError(f"unknown method {bundle.method!r}")
+    return rank_features(bundle, extract_features(bundle.classifier, tokens), attrs)
 
 
 def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:
@@ -452,28 +512,37 @@ def _head_to_json(bundle: ZslBundle) -> dict:
 
 
 def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
+    p, s, n = classifier.feature_dim, classifier.emb.dim, len(classifier.label_order)
     if method == "conse":
         labels = list(obj["labels"])
+        vectors = np.array(obj["vectors"], dtype=float)
+        expect_shape("ConSE vectors", vectors, (n, s))
+        if len(labels) != n:
+            raise ValueError(f"ConSE has {len(labels)} labels for {n} classifier outputs")
+        T = int(obj["T"])
+        if not 1 <= T <= n:
+            raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
         return ConseModel(
             classifier=classifier,
             seen_embeddings=AttributeMatrix(
-                matrix=np.array(obj["vectors"], dtype=float).T,
+                matrix=vectors.T,
                 labels=labels,
                 label_index={label: i for i, label in enumerate(labels)},
             ),
-            T=int(obj["T"]),
+            T=T,
         )
     if method == "eszsl":
-        return EszslModel(W=np.array(obj["W"], dtype=float), gamma=float(obj["gamma"]))
+        W = np.array(obj["W"], dtype=float)
+        expect_shape("ESZSL W", W, (p, s))
+        return EszslModel(W=W, gamma=float(obj["gamma"]))
     if method == "dem":
-        return DemModel(
-            mapper=DenseLayer(
-                weights=np.array(obj["weights"], dtype=float),
-                bias=np.array(obj["bias"], dtype=float),
-                activation="relu",
-            ),
-            loss_history=list(obj.get("loss_history", [])),
+        mapper = DenseLayer(
+            weights=np.array(obj["weights"], dtype=float),
+            bias=np.array(obj["bias"], dtype=float),
+            activation="relu",
         )
+        expect_shape("DEM weights", mapper.weights, (p, s))
+        return DemModel(mapper=mapper, loss_history=list(obj.get("loss_history", [])))
     raise DataError(f"unknown method {method!r} in bundle")
 
 
@@ -502,22 +571,22 @@ def save_zsl_bundle(
 
 
 def load_zsl_bundle(path) -> ZslBundle:
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+    obj = read_bundle(path)
     if obj.get("kind") != "zsl":
         raise DataError(f"{path}: not a zero-shot model bundle")
     base_dir = os.path.dirname(os.path.abspath(path))
-    classifier = baseline_from_bundle_dict(obj["classifier"], base_dir=base_dir)
-    split = None
-    if obj.get("split"):
-        split = ZslSplit(
-            seen=list(obj["split"]["seen"]),
-            unseen=list(obj["split"]["unseen"]),
-            seed=int(obj["split"]["seed"]),
+    with bundle_fields(path):
+        classifier = baseline_from_bundle_dict(obj["classifier"], base_dir=base_dir)
+        split = None
+        if obj.get("split"):
+            split = ZslSplit(
+                seen=list(obj["split"]["seen"]),
+                unseen=list(obj["split"]["unseen"]),
+                seed=int(obj["split"]["seed"]),
+            )
+        return ZslBundle(
+            method=obj["method"],
+            classifier=classifier,
+            head=_head_from_json(obj["method"], obj["head"], classifier),
+            split=split,
         )
-    return ZslBundle(
-        method=obj["method"],
-        classifier=classifier,
-        head=_head_from_json(obj["method"], obj["head"], classifier),
-        split=split,
-    )

@@ -1,8 +1,9 @@
 """Reference math that only the tests use: a finite-difference
 gradient checker, a floored single-example cross-entropy, the ESZSL
 objective with its analytic gradient, whose minimizer is the closed
-form tagrec.zsl.eszsl_fit computes, and a plain-loop skip-gram trainer
-with the update rule of tagrec.embedding.train_sgns."""
+form tagrec.zsl.eszsl_fit computes, a plain-loop skip-gram trainer
+with the update rule of tagrec.embedding.train_sgns, and plain-loop
+scores of the three zero-shot rankers, one candidate column at a time."""
 
 import math
 from dataclasses import dataclass, field
@@ -186,3 +187,44 @@ def sgns_reference(sentences, vocab, config, max_update_pairs: int):
             total -= sum(log_sigmoid(-dot(inp[center], out[n])) for n in negs)
         losses.append(total / len(all_pairs))
     return inp, out, losses, trained
+
+
+def _column(A, j) -> list[float]:
+    return [float(A[k, j]) for k in range(A.shape[0])]
+
+
+def conse_scores_reference(f, A) -> list[float]:
+    """Cosine of f to every column of A; a zero norm scores 0."""
+    f = [float(v) for v in f]
+    ff = sum(v * v for v in f)
+    scores = []
+    for j in range(A.shape[1]):
+        a = _column(A, j)
+        aa = sum(v * v for v in a)
+        dot = sum(u * v for u, v in zip(a, f))
+        scores.append(0.0 if aa == 0.0 or ff == 0.0 else dot / (math.sqrt(aa) * math.sqrt(ff)))
+    return scores
+
+
+def eszsl_scores_reference(W, x, A) -> list[float]:
+    """x^T W a for every column a of A."""
+    xw = [sum(float(x[i]) * float(W[i, k]) for i in range(W.shape[0])) for k in range(W.shape[1])]
+    return [sum(u * v for u, v in zip(xw, _column(A, j))) for j in range(A.shape[1])]
+
+
+def dem_scores_reference(W, b, x, A) -> list[float]:
+    """-||relu(W a + b) - x|| for every column a of A."""
+    scores = []
+    for j in range(A.shape[1]):
+        a = _column(A, j)
+        mapped = [
+            max(0.0, sum(float(W[i, k]) * a[k] for k in range(len(a))) + float(b[i]))
+            for i in range(W.shape[0])
+        ]
+        scores.append(-math.sqrt(sum((m - float(xi)) ** 2 for m, xi in zip(mapped, x))))
+    return scores
+
+
+def ranked_reference(labels, scores) -> list[str]:
+    """Labels by descending score, ties in label order."""
+    return [labels[i] for i in sorted(range(len(labels)), key=lambda i: (-scores[i], i))]

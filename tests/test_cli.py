@@ -550,6 +550,120 @@ class TestGridCommands:
         assert code == 2 and "data error" in err
 
 
+def _drop_last(rows):
+    return [row[:-1] for row in rows]
+
+
+def _head(obj, **fields):
+    return {**obj, "head": {**obj["head"], **fields}}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# each corruption of a saved bundle: (method, name, edit of its bytes or its JSON)
+BAD_BUNDLES = [
+    ("eszsl", "truncated", lambda raw: raw[: len(raw) // 2]),
+    ("eszsl", "not-json", lambda raw: b"model bundle\n"),
+    ("eszsl", "non-ascii", lambda raw: raw.replace(b'"kind"', b'"k\xe9nd"', 1)),
+    ("eszsl", "no-classifier", lambda obj: _without(obj, "classifier")),
+    ("eszsl", "no-head", lambda obj: _without(obj, "head")),
+    ("conse", "vectors-columns", lambda obj: _head(obj, vectors=_drop_last(obj["head"]["vectors"]))),
+    ("conse", "vectors-rows", lambda obj: _head(obj, vectors=obj["head"]["vectors"][:-1])),
+    ("eszsl", "W-rows", lambda obj: _head(obj, W=obj["head"]["W"][:-1])),
+    ("eszsl", "W-columns", lambda obj: _head(obj, W=_drop_last(obj["head"]["W"]))),
+    ("dem", "weights", lambda obj: _head(obj, weights=_drop_last(obj["head"]["weights"]))),
+    ("dem", "bias", lambda obj: _head(obj, bias=obj["head"]["bias"][:-1])),
+    ("dem", "classifier-output", lambda obj: {**obj, "classifier": {
+        **obj["classifier"],
+        "output": {**obj["classifier"]["output"],
+                   "weights": _drop_last(obj["classifier"]["output"]["weights"])},
+    }}),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_bundles(world, tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    paths = {}
+    for method in ("conse", "eszsl", "dem"):
+        paths[method] = root / f"{method}.json"
+        assert main(["zsl", *world.data_flags, *FAST_GRID, "--methods", method,
+                     "--save-bundle", str(paths[method])]) == 0
+    return paths
+
+
+class TestBadBundles:
+    @pytest.mark.parametrize("method,name,edit", BAD_BUNDLES, ids=[b[1] for b in BAD_BUNDLES])
+    def test_bad_bundle_is_a_data_error_naming_the_file(
+        self, capsys, tmp_path, saved_bundles, method, name, edit
+    ):
+        raw = saved_bundles[method].read_bytes()
+        path = tmp_path / "bad.json"
+        if name in ("truncated", "not-json", "non-ascii"):
+            path.write_bytes(edit(raw))
+        else:
+            path.write_text(json.dumps(edit(json.loads(raw))), encoding="ascii")
+        capsys.readouterr()
+        code, _, err = run_cli(["recommend", "--bundle", str(path), "--text", "hi"], capsys)
+        assert code == 2 and f"data error: {path}" in err
+
+    def test_unchanged_bundle_loads(self, capsys, saved_bundles):
+        capsys.readouterr()
+        for path in saved_bundles.values():
+            code, _, _ = run_cli(["recommend", "--bundle", str(path), "--text", "hi"], capsys)
+            assert code == 0
+
+
+class TestUndecodableInput:
+    def test_clean_jsonl(self, capsys, tmp_path, world):
+        clean = tmp_path / "clean.jsonl"
+        lines = Path(world.data_flags[1]).read_bytes().splitlines(keepends=True)
+        clean.write_bytes(lines[0] + lines[1].replace(b"tok", b"t\xe9k", 1) + b"".join(lines[2:]))
+        flags = list(world.data_flags)
+        flags[1] = str(clean)
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
+        )
+        assert code == 2 and f"data error: {clean}:2: not ASCII text" in err
+
+    def test_label_catalog(self, capsys, tmp_path, world):
+        catalog = tmp_path / "labels.json"
+        catalog.write_bytes(b'{"labels":\n ["caf\xe9"]}\n')
+        code, _, err = run_cli(
+            ["train-baseline", *world.data_flags, "--labels", str(catalog),
+             "--out", str(tmp_path / "baseline.json")],
+            capsys,
+        )
+        assert code == 2 and f"data error: {catalog}:2: not ASCII text" in err
+
+    def test_label_catalog_that_is_not_json(self, capsys, tmp_path, world):
+        catalog = tmp_path / "labels.json"
+        catalog.write_text('{"labels":\n ["a",', encoding="ascii")
+        code, _, err = run_cli(
+            ["train-baseline", *world.data_flags, "--labels", str(catalog),
+             "--out", str(tmp_path / "baseline.json")],
+            capsys,
+        )
+        assert code == 2 and f"data error: {catalog}:2: invalid JSON" in err
+
+    def test_raw_jsonl(self, capsys, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        lines = Path(RAW).read_bytes().splitlines(keepends=True)
+        raw.write_bytes(lines[0] + lines[1].replace(b'"text": "', b'"text": "caf\xe9 ', 1)
+                        + b"".join(lines[2:]))
+        argv = ["ingest", "--input", str(raw), "--out", str(tmp_path / "clean.jsonl")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and f"data error: {raw}:2: not UTF-8 text" in err
+
+    def test_config_file(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"ingest":\n {"top_n": "\xff"}}\n')
+        code, _, err = run_cli(["--config", str(config)] + ingest_argv(tmp_path), capsys)
+        assert code == 2 and f"data error: {config}:2: not UTF-8 text" in err
+
+
 class TestEvalCommand:
     def test_cross_validates(self, capsys, tmp_path, world):
         out = tmp_path / "cv.json"

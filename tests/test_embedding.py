@@ -423,6 +423,9 @@ class TestLookupUtilities:
         assert cosine([1.0, 0.0], [1.05e-160, 0.0]) == 1.0
         assert cosine([3e-170, 4e-170], [4e-170, -3e-170]) == 0.0
         assert cosine([-1e200, 0.0], [1e200, 0.0]) == -1.0
+        # the squared norm underflows to 0 but the vector is not zero
+        assert cosine([3e-170, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine([0.0, 0.0], [1e-170, 0.0]) == 0.0
 
     def test_label_embedding_returns_hashtag_row(self):
         vocab, emb = self._fixture()

@@ -340,6 +340,12 @@ class TestStopwordFiles:
         path.write_text("# comment\n\nthe\n  a  \n")
         assert load_stopwords(path) == {"the", "a"}
 
+    def test_non_ascii_stopwords_name_file_and_line(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\ncaf\xe9\n")
+        with pytest.raises(DataError, match=r"stop\.txt:2: not ASCII text"):
+            load_stopwords(path)
+
 
 class TestJsonlIO:
     def test_read_raw_skips_blank_lines(self, tmp_path):

@@ -202,6 +202,21 @@ class TestExtractFeatures:
             assert row == pytest.approx(extract_features(trained, tokens), abs=1e-12)
 
 
+# each corruption of a saved bundle: (name, edit of its bytes or its JSON)
+BAD_BUNDLES = [
+    ("truncated", lambda raw: raw[: len(raw) // 3]),
+    ("non-ascii", lambda raw: raw.replace(b'"kind"', b'"k\xe9nd"', 1)),
+    ("no-hidden", lambda obj: {k: v for k, v in obj.items() if k != "hidden"}),
+    ("hidden-columns", lambda obj: {**obj, "hidden": {
+        **obj["hidden"], "weights": [row[:-1] for row in obj["hidden"]["weights"]]}}),
+    ("output-rows", lambda obj: {**obj, "output": {
+        **obj["output"], "weights": obj["output"]["weights"][:-1],
+        "bias": obj["output"]["bias"][:-1]}}),
+    ("ragged", lambda obj: {**obj, "hidden": {
+        **obj["hidden"], "weights": [[1.0]] + obj["hidden"]["weights"][1:]}}),
+]
+
+
 class TestBundle:
     def _save(self, model, vocab, emb, tmp_path, config=None):
         emb_path = tmp_path / "vectors.txt"
@@ -244,6 +259,17 @@ class TestBundle:
         path.write_text('{"kind": "zsl"}\n')
         with pytest.raises(DataError, match="not a baseline"):
             load_baseline_bundle(path)
+
+    @pytest.mark.parametrize("name,edit", BAD_BUNDLES, ids=[name for name, _ in BAD_BUNDLES])
+    def test_bad_bundle_names_the_file(self, trained, separable, tmp_path, name, edit):
+        bundle_path, _ = self._save(trained, separable.vocab, separable.emb, tmp_path)
+        raw = bundle_path.read_bytes()
+        if name in ("truncated", "non-ascii"):
+            bundle_path.write_bytes(edit(raw))
+        else:
+            bundle_path.write_text(json.dumps(edit(json.loads(raw))), encoding="ascii")
+        with pytest.raises(DataError, match=f"^{bundle_path}"):
+            load_baseline_bundle(bundle_path)
 
     def test_missing_embedding_file(self, trained, separable, tmp_path):
         bundle_path, emb_path = self._save(trained, separable.vocab, separable.emb, tmp_path)

@@ -2,16 +2,27 @@
 embedding, bilinear closed form, learned attribute mapper), few-shot
 augmentation, and the recommendation bundle format."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tagrec.embedding import save_embeddings
+from tagrec import zsl
+from tagrec.embedding import cosine, save_embeddings
 from tagrec.errors import DataError, NotPositiveDefiniteError
 from tagrec.ingest import Dataset
+from tagrec.numeric import DenseLayer
 from tagrec.supervised import TrainSpec, extract_features, predict_proba, train_baseline
 from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import (
     AttributeMatrix,
+    DemModel,
+    EszslModel,
     ZslBundle,
     ZslSplit,
     conse_embed,
@@ -31,7 +42,16 @@ from tagrec.zsl import (
     subset_by_labels,
 )
 
-from reference_math import eszsl_objective, eszsl_objective_grad
+from reference_math import (
+    conse_scores_reference,
+    dem_scores_reference,
+    eszsl_objective,
+    eszsl_objective_grad,
+    eszsl_scores_reference,
+    ranked_reference,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _attr(matrix, labels):
@@ -350,6 +370,145 @@ class TestDem:
         assert scores == sorted(scores, reverse=True)
 
 
+def _tie_groups(n):
+    """Disjoint groups of candidate positions to make identical: the
+    first with the last, two in the body, two in the tail, and three
+    spread over the whole range."""
+    used, groups = set(), []
+    for group in ([0, n - 1], [n // 3, n // 2], [n - 3, n - 2], [1, n // 2 + 1, n - 4]):
+        group = [j for j in dict.fromkeys(group) if 0 <= j < n and j not in used]
+        if len(group) >= 2:
+            used.update(group)
+            groups.append(group)
+    return groups
+
+
+def _rank_with(method, rng, A, s, p=16):
+    """Rank the columns of A with one of the three rankers and random
+    parameters."""
+    attrs = _attr(A, [f"c{j}" for j in range(A.shape[1])])
+    assert attrs.matrix is A  # in A's memory order
+    if method == "conse":
+        return conse_rank(rng.standard_normal(s), attrs)
+    x = rng.standard_normal(p)
+    if method == "eszsl":
+        return eszsl_rank(EszslModel(W=rng.standard_normal((p, s)), gamma=1.0), x, attrs)
+    layer = DenseLayer(weights=rng.standard_normal((p, s)), bias=rng.standard_normal(p), activation="relu")
+    return dem_rank(DemModel(mapper=layer), x, attrs)
+
+
+@st.composite
+def _dyadic_instance(draw):
+    """Small-integer entries scaled by 1/8, so every sum the rankers form
+    is exact and any two ways of computing a score agree bit for bit;
+    some columns are copies of others."""
+    s, n, p = draw(st.integers(1, 10)), draw(st.integers(1, 70)), draw(st.integers(1, 8))
+
+    def ints(*shape):
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(-8, 8))) / 8.0
+
+    A = ints(s, n)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        A[:, dst] = A[:, src]
+    if draw(st.booleans()):
+        A = np.asfortranarray(A)
+    return A, ints(s), ints(p, s), ints(p), ints(p)
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+class TestRankersAtScale:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 401])
+    @pytest.mark.parametrize("method", ["conse", "eszsl", "dem"])
+    def test_identical_columns_tie_exactly(self, method, n, order):
+        rng = np.random.default_rng(n)
+        s = 37
+        A = rng.standard_normal((s, n)) * np.exp(2.0 * rng.standard_normal((s, 1)))
+        groups = _tie_groups(n)
+        for group in groups:
+            A[:, group] = A[:, [group[0]]]
+        A = np.asarray(A, order=order)
+        pred = _rank_with(method, rng, A, s)
+        position = {label: i for i, label in enumerate(pred.labels())}
+        score = dict(pred.ranked)
+        assert set(position) == {f"c{j}" for j in range(n)}
+        for group in groups:
+            labels = [f"c{j}" for j in group]
+            assert len({score[label] for label in labels}) == 1
+            places = [position[label] for label in labels]
+            assert places == list(range(places[0], places[0] + len(group)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dyadic_instance())
+    def test_rankers_match_plain_loops_exactly(self, instance):
+        A, f, W, b, x = instance
+        labels = [f"c{j}" for j in range(A.shape[1])]
+        attrs = _attr(A, labels)
+        layer = DenseLayer(weights=W, bias=b, activation="relu")
+        cases = [
+            (conse_rank(f, attrs), conse_scores_reference(f, A)),
+            (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A)),
+            (dem_rank(DemModel(mapper=layer), x, attrs), dem_scores_reference(W, b, x, A)),
+        ]
+        for pred, want in cases:
+            assert pred.labels() == ranked_reference(labels, want)
+            got = dict(pred.ranked)
+            np.testing.assert_allclose([got[label] for label in labels], want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda s: st.tuples(
+        hnp.arrays(float, (s, 12), elements=_MAGNITUDES),
+        hnp.arrays(float, s, elements=_MAGNITUDES),
+        hnp.arrays(float, (4, s), elements=_MAGNITUDES),
+        hnp.arrays(float, 4, elements=_MAGNITUDES),
+    )))
+    def test_scores_match_plain_loops(self, instance):
+        A, f, W, x = instance
+        labels = [f"c{j}" for j in range(A.shape[1])]
+        attrs = _attr(A, labels)
+        b = np.zeros(len(x))
+        layer = DenseLayer(weights=W, bias=b, activation="relu")
+        # rounding error bounds: sums of absolute terms
+        bilinear = (np.abs(x) @ np.abs(W)) @ np.abs(A)
+        mapped = np.abs(W) @ np.abs(A)
+        cases = [
+            (conse_rank(f, attrs), conse_scores_reference(f, A), np.ones(A.shape[1])),
+            (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A), bilinear),
+            (dem_rank(DemModel(mapper=layer), x, attrs), dem_scores_reference(W, b, x, A),
+             np.sqrt(((mapped + np.abs(x)[:, None]) ** 2).sum(axis=0))),
+        ]
+        for pred, want, scale in cases:
+            got = dict(pred.ranked)
+            got = np.array([got[label] for label in labels])
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + scale))
+
+    def test_conse_zero_and_tiny_columns_follow_cosine(self):
+        f = np.array([1.0, 2.0, 0.0])
+        A = np.array([[0.0, 1.05e-160, 1.0, 3e-170], [0.0, 2.1e-160, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        pred = conse_rank(f, _attr(A, list("abcd")))
+        want = [cosine(f, A[:, j]) for j in range(4)]
+        assert dict(pred.ranked) == dict(zip("abcd", want))
+        score = dict(pred.ranked)
+        assert score["a"] == 0.0
+        assert score["b"] == pytest.approx(1.0) and score["d"] == pytest.approx(5**-0.5)
+        assert pred.labels() == ranked_reference(list("abcd"), want)
+
+    def test_conse_tiny_combined_embedding_follows_cosine(self):
+        f = np.array([1e-160, 3e-160, -2e-160])
+        A = np.array([[1.0, 0.0, 2.0, 0.0], [3.0, 1.0, 6.0, 0.0], [-2.0, 1.0, -4.0, 0.0]])
+        pred = conse_rank(f, _attr(A, list("abcd")))
+        want = [cosine(f, A[:, j]) for j in range(4)]
+        assert dict(pred.ranked) == dict(zip("abcd", want))
+        assert pred.labels()[:2] == ["a", "c"] and want[0] == want[2] == pytest.approx(1.0)
+
+    def test_conse_zero_combined_embedding_ties_everything(self):
+        A = np.arange(12.0).reshape(3, 4)
+        pred = conse_rank(np.zeros(3), _attr(A, list("dcba")))
+        assert pred.ranked == [(label, 0.0) for label in "dcba"]
+
+
 class TestFslAugment:
     def _pools(self):
         train = Dataset(
@@ -514,6 +673,18 @@ class TestRecommend:
             rank_candidates(bad, ["x"], split.unseen)
 
 
+@pytest.fixture(scope="module")
+def saved_bundle(small_world, tmp_path_factory):
+    """A saved ConSE bundle and its bytes."""
+    corpus = small_world[0]
+    root = tmp_path_factory.mktemp("saved")
+    emb_path = root / "vectors.txt"
+    save_embeddings(corpus.emb, corpus.vocab, emb_path)
+    path = root / "conse.json"
+    save_zsl_bundle(_bundles(small_world)[0], path, str(emb_path))
+    return path, path.read_bytes()
+
+
 class TestZslBundleIO:
     def test_round_trip_preserves_rankings(self, small_world, tmp_path):
         corpus, split, _, clf = small_world
@@ -530,6 +701,22 @@ class TestZslBundleIO:
             b = rank_candidates(back, tokens, split.unseen).ranked
             assert [lab for lab, _ in a] == [lab for lab, _ in b]
             assert [s for _, s in a] == pytest.approx([s for _, s in b], abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_damaged_bundle_loads_or_is_a_data_error(self, saved_bundle, data):
+        path, raw = saved_bundle
+        cut = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[:cut]
+        else:
+            damaged = raw[:cut] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[cut + 1:]
+        bad = path.with_name("damaged.json")
+        bad.write_bytes(damaged)
+        try:
+            load_zsl_bundle(bad)
+        except DataError:
+            pass
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bundle.json"
@@ -551,3 +738,40 @@ class TestZslBundleIO:
         assert np.array_equal(
             extract_features(back.classifier, tokens), extract_features(clf, tokens)
         )
+
+
+def _perfbench_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceContract:
+    """perfbench's tracer reads the candidate count of each text's
+    `AttributeMatrix.from_labels` and ranker calls; serving must keep
+    making those calls once per text."""
+
+    def test_recommend_makes_one_traced_gather_and_rank(self, small_world, monkeypatch):
+        corpus, split, _, _ = small_world
+        candidates = list(corpus.dataset.label_set)
+        tokens = corpus.dataset.examples[5][0]
+        bundles = _bundles(small_world)
+        tracer = _perfbench_tracer(monkeypatch).Tracer()
+        tracer.install()
+        try:
+            for bundle in bundles:
+                # through the module, whose attribute the tracer replaced
+                zsl.recommend(bundle, tokens, candidates, k=2)
+        finally:
+            tracer.uninstall()
+        calls = [s for s in tracer.spans if s.name == "zsl.recommend"]
+        assert len(calls) == len(bundles)
+        for call, bundle in zip(calls, bundles):
+            inner = [s for s in tracer.spans if s.parent is not None and s.start >= call.start
+                     and s.end <= call.end]
+            for name in ("zsl.attribute_matrix", f"zsl.{bundle.method}_rank"):
+                spans = [s for s in inner if s.name == name]
+                assert len(spans) == 1, (bundle.method, name)
+                assert spans[0].counts["candidates"] == len(candidates)
