@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from .embedding import SgnsConfig, build_vocab, load_embeddings, save_embeddings, train_sgns
-from .errors import DataError, NumericalError, UsageError, not_text
+from .errors import DataError, NumericalError, UsageError, not_text, read_json, write_json
 from .evaluate import (
     SupervisedExperimentConfig,
     ZslExperimentConfig,
@@ -40,6 +40,7 @@ from .ingest import (
     default_stopwords,
     extract_hashtags,
     filter_corpus,
+    is_str_list,
     load_stopwords,
     materialize_dataset,
     minimal_tokens,
@@ -190,13 +191,7 @@ def _load_config_file(path: str | None) -> dict:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise not_text(path, exc) from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path}: invalid JSON ({exc.msg})") from exc
+    obj = read_json(path, "utf-8")
     if not isinstance(obj, dict):
         raise DataError(f"config file {path}: expected an object keyed by command")
     return obj
@@ -257,12 +252,6 @@ def parse_str_list(value) -> list[str]:
     return result
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _derived_path(out: str, suffix: str) -> str:
     root, _ = os.path.splitext(out)
     return f"{root}.{suffix}"
@@ -271,15 +260,9 @@ def _derived_path(out: str, suffix: str) -> str:
 def _load_dataset(cfg):
     corpus = corpus_from_clean(read_clean_jsonl(cfg["clean"]))
     if cfg["labels"]:
-        try:
-            with open(cfg["labels"], "r", encoding="ascii") as fh:
-                catalog = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise not_text(cfg["labels"], exc) from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{cfg['labels']}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+        catalog = read_json(cfg["labels"], "ascii")
         labels = catalog.get("labels") if isinstance(catalog, dict) else catalog
-        if not isinstance(labels, list) or not labels:
+        if not (labels and is_str_list(labels)):
             raise DataError(f"{cfg['labels']}: expected a non-empty label list")
     else:
         labels = select_top_labels(corpus, cfg["top_n"], cfg["min_tweets"])
@@ -304,7 +287,7 @@ def cmd_ingest(cfg: dict) -> int:
     labels = select_top_labels(corpus, cfg["top_n"], cfg["min_tweets"])
     labels_path = cfg["labels_out"] or _derived_path(cfg["out"], "labels.json")
     report_path = cfg["report_out"] or _derived_path(cfg["out"], "report.json")
-    _write_json(
+    write_json(
         labels_path,
         {
             "config": cfg,
@@ -312,7 +295,7 @@ def cmd_ingest(cfg: dict) -> int:
             "counts": {label: corpus.label_counts[label] for label in labels},
         },
     )
-    _write_json(
+    write_json(
         report_path,
         {
             "config": cfg,
@@ -448,7 +431,7 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
     print()
     print(format_zsl_table(result))
     if cfg["out"]:
-        _write_json(cfg["out"], result)
+        write_json(cfg["out"], result)
     if cfg["save_bundle"]:
         save_zsl_bundle(bundle, cfg["save_bundle"], cfg["embeddings"], config=cfg)
     return 0
@@ -469,7 +452,7 @@ def cmd_eval(cfg: dict) -> int:
     print()
     print(format_supervised_table(result))
     if cfg["out"]:
-        _write_json(cfg["out"], result)
+        write_json(cfg["out"], result)
     return 0
 
 

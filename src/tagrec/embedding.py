@@ -104,11 +104,6 @@ def _pair_positions(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], j[keep]
 
 
-def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:
-    """All (center, context) pairs with |i - j| <= window, in scan order."""
-    return [(seq[i], seq[j]) for i, j in zip(*_pair_positions(len(seq), window))]
-
-
 def noise_distribution(vocab: Vocabulary) -> np.ndarray:
     """Negative-sampling distribution: unigram counts raised to 0.75,
     normalized to sum to 1."""

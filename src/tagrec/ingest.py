@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .errors import DataError, MalformedRecordError, not_text
+from .errors import DataError, MalformedRecordError, not_text, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -261,12 +261,8 @@ def load_stopwords(path) -> set[str]:
 
 def default_stopwords() -> set[str]:
     """The stopword list bundled with the package."""
-    text = resources.files("tagrec").joinpath("data/stopwords.txt").read_text("ascii")
-    return {
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    }
+    with resources.as_file(resources.files("tagrec") / "data/stopwords.txt") as path:
+        return load_stopwords(path)
 
 
 def read_raw_jsonl(path) -> list[dict]:
@@ -274,20 +270,10 @@ def read_raw_jsonl(path) -> list[dict]:
     line aborts with its line number; semantically incomplete records
     are left for filter_corpus to count."""
     objects = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(obj, dict):
-                    raise DataError(f"{path}:{lineno}: expected a JSON object")
-                objects.append(obj)
-    except UnicodeDecodeError as exc:
-        raise not_text(path, exc) from exc
+    for lineno, obj in read_jsonl(path, "utf-8"):
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        objects.append(obj)
     return objects
 
 
@@ -304,24 +290,24 @@ def write_clean_jsonl(tweets: Sequence[CleanTweet], path) -> None:
             )
 
 
+def is_str_list(value) -> bool:
+    """Whether a parsed JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def read_clean_jsonl(path) -> list[CleanTweet]:
+    """Cleaned tweets as write_clean_jsonl writes them. A record that is
+    not an object with a string id and lists of string tokens and labels
+    raises a DataError naming the file and line."""
     tweets = []
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    tweets.append(
-                        CleanTweet(
-                            id=obj["id"], tokens=list(obj["tokens"]), labels=set(obj["labels"])
-                        )
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad clean-tweet record") from exc
-    except UnicodeDecodeError as exc:
-        raise not_text(path, exc) from exc
+    for lineno, obj in read_jsonl(path, "ascii"):
+        try:
+            tweet_id, tokens, labels = obj["id"], obj["tokens"], obj["labels"]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad clean-tweet record") from exc
+        if not (isinstance(tweet_id, str) and is_str_list(tokens) and is_str_list(labels)):
+            raise DataError(f"{path}:{lineno}: bad clean-tweet record")
+        tweets.append(CleanTweet(id=tweet_id, tokens=tokens, labels=set(labels)))
     return tweets
 
 

@@ -134,6 +134,41 @@ def adam_step(
     return new_params, new_state
 
 
+def train_minibatch(
+    params: list[np.ndarray],
+    batch_loss_and_grads,
+    m: int,
+    spec,
+    rng: np.random.Generator,
+    name: str,
+) -> tuple[list[np.ndarray], list[float]]:
+    """Minibatch Adam over m examples: spec.epochs epochs, each visiting
+    the examples in a fresh rng permutation in batches of
+    spec.batch_size. batch_loss_and_grads(params, idx) returns the loss
+    summed over the batch idx and the gradients of its mean. Returns the
+    trained params and each epoch's mean loss; an epoch whose mean loss
+    is not finite raises NumericalError. Each step's params are dropped
+    once the next exist; a caller that passes the initial params without
+    keeping a reference lets them go after the first step."""
+    state = AdamState.for_params(params, learning_rate=spec.learning_rate)
+    loss_history: list[float] = []
+    for epoch in range(spec.epochs):
+        order = rng.permutation(m)
+        total = 0.0
+        for start in range(0, m, spec.batch_size):
+            loss, grads = batch_loss_and_grads(params, order[start : start + spec.batch_size])
+            total += loss
+            params, state = adam_step(params, grads, state)
+        mean_loss = total / m
+        if not np.isfinite(mean_loss):
+            raise NumericalError(
+                f"{name} loss diverged at epoch {epoch}; "
+                f"last finite epoch losses: {loss_history[-3:]}"
+            )
+        loss_history.append(mean_loss)
+    return params, loss_history
+
+
 def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A @ X = B for symmetric positive definite A via Cholesky
     factorization (never forms the explicit inverse)."""

@@ -10,7 +10,6 @@ feature every ranking method consumes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -18,15 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbeddingMatrix, Vocabulary, load_embeddings, mean_pool
-from .errors import DataError, NumericalError, not_text
+from .errors import DataError, read_json, write_json
 from .ingest import Dataset
-from .numeric import (
-    AdamState,
-    DenseLayer,
-    adam_step,
-    softmax,
-    xavier_uniform,
-)
+# adam_step is not called here; the name stays because perfbench's tracer
+# tests check that it is wrapped in every module that imports it
+from .numeric import DenseLayer, adam_step, softmax, train_minibatch, xavier_uniform  # noqa: F401
 
 # probabilities are floored here before the log, so an exact zero for
 # the true class gives a large finite loss instead of inf
@@ -90,47 +85,35 @@ def train_baseline(
     m, d = X.shape
     n_out = len(label_order)
 
-    rng = np.random.default_rng(spec.seed)
-    Wh = xavier_uniform(d, spec.hidden_units, rng)
-    bh = np.zeros(spec.hidden_units)
-    Wo = xavier_uniform(spec.hidden_units, n_out, rng)
-    bo = np.zeros(n_out)
-    params = [Wh, bh, Wo, bo]
-    state = AdamState.for_params(params, learning_rate=spec.learning_rate)
-
     onehot = np.zeros((m, n_out))
     onehot[np.arange(m), y] = 1.0
 
-    loss_history: list[float] = []
-    for epoch in range(spec.epochs):
-        order = rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            Xb, Yb = X[idx], onehot[idx]
-            B = len(idx)
-            Wh, bh, Wo, bo = params
-            H = np.tanh(Xb @ Wh.T + bh)
-            P = softmax(H @ Wo.T + bo)
-            total -= float(
-                np.log(np.maximum(P[np.arange(B), y[idx]], CROSS_ENTROPY_FLOOR)).sum()
-            )
-            dlogits = (P - Yb) / B
-            dWo = dlogits.T @ H
-            dbo = dlogits.sum(axis=0)
-            dH = dlogits @ Wo
-            dZ = dH * (1.0 - H * H)
-            dWh = dZ.T @ Xb
-            dbh = dZ.sum(axis=0)
-            params, state = adam_step(params, [dWh, dbh, dWo, dbo], state)
-        mean_loss = total / m
-        if not np.isfinite(mean_loss):
-            raise NumericalError(
-                f"baseline loss diverged at epoch {epoch}; "
-                f"last finite epoch losses: {loss_history[-3:]}"
-            )
-        loss_history.append(mean_loss)
+    def batch_loss_and_grads(params, idx):
+        Xb, Yb = X[idx], onehot[idx]
+        B = len(idx)
+        Wh, bh, Wo, bo = params
+        H = np.tanh(Xb @ Wh.T + bh)
+        P = softmax(H @ Wo.T + bo)
+        loss = -float(np.log(np.maximum(P[np.arange(B), y[idx]], CROSS_ENTROPY_FLOOR)).sum())
+        dlogits = (P - Yb) / B
+        dWo = dlogits.T @ H
+        dbo = dlogits.sum(axis=0)
+        dH = dlogits @ Wo
+        dZ = dH * (1.0 - H * H)
+        dWh = dZ.T @ Xb
+        dbh = dZ.sum(axis=0)
+        return loss, [dWh, dbh, dWo, dbo]
 
+    rng = np.random.default_rng(spec.seed)
+    params, loss_history = train_minibatch(
+        [
+            xavier_uniform(d, spec.hidden_units, rng),
+            np.zeros(spec.hidden_units),
+            xavier_uniform(spec.hidden_units, n_out, rng),
+            np.zeros(n_out),
+        ],
+        batch_loss_and_grads, m, spec, rng, "baseline",
+    )
     Wh, bh, Wo, bo = params
     return BaselineClassifier(
         hidden=DenseLayer(weights=Wh, bias=bh, activation="tanh"),
@@ -152,12 +135,6 @@ def extract_features(model: BaselineClassifier, tokens) -> np.ndarray:
 def extract_features_batch(model: BaselineClassifier, token_lists) -> np.ndarray:
     X = pooled_features(token_lists, model.vocab, model.emb)
     return model.hidden.apply_batch(X)
-
-
-def predict_proba(model: BaselineClassifier, tokens) -> np.ndarray:
-    """Probability vector over model.label_order; the exact softmax of
-    the output layer applied to the extracted feature."""
-    return model.output.apply(extract_features(model, tokens))
 
 
 def file_sha256(path) -> str:
@@ -204,21 +181,13 @@ def baseline_bundle_dict(
 def save_baseline_bundle(
     model: BaselineClassifier, path, embedding_path: str, config: dict | None = None
 ) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(baseline_bundle_dict(model, embedding_path, config), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, baseline_bundle_dict(model, embedding_path, config))
 
 
 def read_bundle(path) -> dict:
     """The JSON object of a model bundle file; a file that is not ASCII
     JSON holding an object raises a DataError naming it."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise not_text(path, exc) from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    obj = read_json(path, "ascii")
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
     return obj

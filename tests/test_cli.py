@@ -149,6 +149,14 @@ class TestConfigResolution:
         )
         assert code == 2 and "data error" in err and "invalid JSON" in err
 
+    def test_invalid_config_json_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{\n  "ingest": {\n    "top_n": 2,,\n  }\n}\n', encoding="ascii")
+        code, _, err = run_cli(
+            ["--config", str(path)] + ingest_argv(tmp_path), capsys
+        )
+        assert code == 2 and f"data error: {path}:3: invalid JSON" in err
+
     def test_config_must_be_object(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]", encoding="ascii")
@@ -399,6 +407,27 @@ class TestTrainBaselineCommand:
             capsys,
         )
         assert code == 2 and "non-empty label list" in err
+
+    def test_label_catalog_of_non_strings(self, capsys, tmp_path, world):
+        catalog = tmp_path / "labels.json"
+        catalog.write_text(json.dumps({"labels": ["tag00", "tag01", 3]}), encoding="ascii")
+        code, _, err = run_cli(
+            ["zsl", *world.data_flags, "--labels", str(catalog), *FAST_GRID], capsys
+        )
+        assert code == 2 and f"data error: {catalog}: expected a non-empty label list" in err
+
+    def test_numeric_label_in_clean_jsonl(self, capsys, tmp_path, world):
+        clean = tmp_path / "clean.jsonl"
+        lines = Path(world.data_flags[1]).read_text(encoding="ascii").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["labels"] = [7]
+        clean.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]), "ascii")
+        flags = list(world.data_flags)
+        flags[1] = str(clean)
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "b.json")], capsys
+        )
+        assert code == 2 and f"data error: {clean}:2: bad clean-tweet record" in err
 
 
 class TestGridCommands:

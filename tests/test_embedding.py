@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_math import sgns_reference
+from reference_math import make_synonym_corpus, sgns_reference, skipgram_pairs
 from tagrec.embedding import (
     MAX_UPDATE_PAIRS,
     EmbeddingMatrix,
@@ -22,11 +22,9 @@ from tagrec.embedding import (
     mean_pool,
     noise_distribution,
     save_embeddings,
-    skipgram_pairs,
     train_sgns,
 )
 from tagrec.errors import DataError
-from tagrec.synthetic import make_synonym_corpus
 
 
 class TestBuildVocab:

@@ -386,6 +386,24 @@ class TestJsonlIO:
         with pytest.raises(DataError, match=r":2: bad clean-tweet record"):
             read_clean_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", 17),
+            ("tokens", "hello world"),
+            ("tokens", ["hello", 2]),
+            ("labels", "ai"),
+            ("labels", ["ai", 3]),
+        ],
+        ids=["numeric-id", "string-tokens", "numeric-token", "string-labels", "numeric-label"],
+    )
+    def test_read_clean_rejects_wrong_types(self, tmp_path, field, value):
+        record = {"id": "b", "tokens": ["x"], "labels": ["ai"], field: value}
+        path = tmp_path / "clean.jsonl"
+        path.write_text('{"id": "a", "tokens": [], "labels": []}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=r":2: bad clean-tweet record"):
+            read_clean_jsonl(path)
+
     def test_corpus_from_clean_rebuilds_counts(self):
         tweets = [
             CleanTweet(id="a", tokens=["x"], labels={"p", "q"}),

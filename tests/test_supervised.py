@@ -19,11 +19,12 @@ from tagrec.supervised import (
     file_sha256,
     load_baseline_bundle,
     pooled_features,
-    predict_proba,
     save_baseline_bundle,
     train_baseline,
 )
 from tagrec.synthetic import make_separable_dataset
+
+from reference_math import predict_proba
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ embedding, bilinear closed form, learned attribute mapper), few-shot
 augmentation, and the recommendation bundle format."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -12,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tagrec import zsl
+from tagrec import supervised, zsl
 from tagrec.embedding import cosine, save_embeddings
-from tagrec.errors import DataError, NotPositiveDefiniteError
+from tagrec.errors import DataError, NotPositiveDefiniteError, NumericalError
 from tagrec.ingest import Dataset
 from tagrec.numeric import DenseLayer
-from tagrec.supervised import TrainSpec, extract_features, predict_proba, train_baseline
+from tagrec.supervised import TrainSpec, extract_features, train_baseline
 from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import (
     AttributeMatrix,
@@ -322,6 +323,17 @@ class TestDem:
         b = dem_fit(X, S, spec)
         assert np.array_equal(a.mapper.weights, b.mapper.weights)
         assert a.loss_history == b.loss_history
+
+    def test_divergence_names_the_last_finite_losses(self, rng):
+        X = np.abs(rng.standard_normal((6, 4)))
+        S = np.abs(rng.standard_normal((6, 3)))
+        # one Adam step of this size sends the weights to ~1e160, whose
+        # squared reconstruction error overflows in the next epoch
+        spec = TrainSpec(epochs=3, batch_size=6, seed=0, learning_rate=1e160)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match=r"DEM loss diverged at epoch 1; last finite epoch losses: \[\d"
+        ):
+            dem_fit(X, S, spec)
 
     def test_loss_mostly_decreasing_on_random_data(self, rng):
         X = np.abs(rng.standard_normal((40, 10)))
@@ -718,6 +730,26 @@ class TestZslBundleIO:
         except DataError:
             pass
 
+    def test_bundle_with_attribute_source_loads_unchanged(
+        self, small_world, saved_bundle, tmp_path
+    ):
+        """Bundles once also named the embedding file in a top-level
+        attribute_source entry, which no loader reads."""
+        corpus, split, _, _ = small_world
+        path, raw = saved_bundle
+        obj = json.loads(raw)
+        assert "attribute_source" not in obj
+        obj["attribute_source"] = obj["classifier"]["embedding"]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="ascii")
+        new, old = load_zsl_bundle(path), load_zsl_bundle(older)
+        assert (old.method, old.split, old.head.T) == (new.method, new.split, new.head.T)
+        assert np.array_equal(old.head.seen_embeddings.matrix, new.head.seen_embeddings.matrix)
+        tokens = corpus.dataset.examples[3][0]
+        assert rank_candidates(old, tokens, split.unseen) == rank_candidates(
+            new, tokens, split.unseen
+        )
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text('{"kind": "baseline"}\n')
@@ -775,3 +807,29 @@ class TestTraceContract:
                 spans = [s for s in inner if s.name == name]
                 assert len(spans) == 1, (bundle.method, name)
                 assert spans[0].counts["candidates"] == len(candidates)
+
+    def test_training_takes_the_expected_traced_adam_steps(self, small_world, monkeypatch):
+        """perfbench's Adam check: each training call makes exactly its
+        expected_adam_steps numeric.adam_step calls."""
+        corpus, _, train, _ = small_world
+        rng = np.random.default_rng(4)
+        X, S = rng.standard_normal((23, 5)), rng.standard_normal((23, 3))
+        tracer = _perfbench_tracer(monkeypatch).Tracer()
+        tracer.install()
+        try:
+            supervised.train_baseline(
+                train, corpus.vocab, corpus.emb, TrainSpec(epochs=2, batch_size=16, hidden_units=8)
+            )
+            zsl.dem_fit(X, S, TrainSpec(epochs=3, batch_size=7))
+        finally:
+            tracer.uninstall()
+        for name, expected in (
+            ("supervised.train_baseline", 2 * -(-len(train.examples) // 16)),
+            ("zsl.dem_fit", 3 * 4),
+        ):
+            [call] = [s for s in tracer.spans if s.name == name]
+            steps = [
+                s for s in tracer.spans if s.name == "numeric.adam_step" and s.parent == call.id
+            ]
+            assert call.counts["expected_adam_steps"] == expected
+            assert len(steps) == expected, name
