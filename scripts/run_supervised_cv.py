@@ -11,9 +11,9 @@ each, 50 epochs) every fold should land at or near 100%.
 """
 
 import argparse
-import json
 import time
 
+from tagrec.errors import write_json
 from tagrec.evaluate import (
     SupervisedExperimentConfig,
     format_supervised_table,
@@ -63,9 +63,7 @@ def main() -> int:
     print(format_supervised_table(result))
 
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(result, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result)
         print(f"\nwrote {args.out}")
     return 0
 

@@ -16,10 +16,10 @@ five label draws. Expect roughly a minute of wall time.
 """
 
 import argparse
-import json
 import time
 
-from tagrec.cli import parse_int_list, parse_pair_list
+from tagrec.cli import parse_int_list, parse_pair_list, parse_str_list
+from tagrec.errors import write_json
 from tagrec.evaluate import ZslExperimentConfig, format_zsl_table, run_zsl_experiment
 from tagrec.supervised import TrainSpec
 from tagrec.synthetic import make_clustered_corpus
@@ -58,7 +58,7 @@ def main() -> int:
     shots = args.shots if args.setting == "fsl" else 0
     config = ZslExperimentConfig(
         splits=parse_pair_list(args.splits),
-        methods=tuple(m.strip() for m in args.methods.split(",")),
+        methods=tuple(parse_str_list(args.methods)),
         setting=args.setting,
         seeds=tuple(parse_int_list(args.seeds)),
         ks=tuple(parse_int_list(args.ks)),
@@ -74,9 +74,7 @@ def main() -> int:
     print(format_zsl_table(result))
 
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(result, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result)
         print(f"\nwrote {args.out}")
     return 0
 

@@ -44,8 +44,6 @@ from .ingest import (
     load_stopwords,
     materialize_dataset,
     minimal_tokens,
-    normalize_raw,
-    parse_raw_record,
     read_clean_jsonl,
     read_raw_jsonl,
     select_top_labels,
@@ -278,6 +276,8 @@ def _stopword_set(path: str | None) -> set[str]:
 
 
 def cmd_ingest(cfg: dict) -> int:
+    """Clean the raw tweets. --emb-corpus also writes the minimal tokens
+    of each English, well-formed record, hashtags spelled as labels."""
     records = read_raw_jsonl(cfg["input"])
     if not records:
         raise DataError(f"{cfg['input']}: no input records")
@@ -307,14 +307,8 @@ def cmd_ingest(cfg: dict) -> int:
     )
     if cfg["emb_corpus"]:
         with open(cfg["emb_corpus"], "w", encoding="utf-8") as fh:
-            for obj in records:
-                try:
-                    record = parse_raw_record(obj)
-                    if record.lang != "en":
-                        continue
-                    tokens = minimal_tokens(normalize_raw(record))
-                except DataError:
-                    continue
+            for text in corpus.texts:
+                tokens = minimal_tokens(text)
                 if tokens:
                     fh.write(" ".join(tokens) + "\n")
     drops = " ".join(f"{k}={v}" for k, v in sorted(corpus.drop_counts.items()))

@@ -1,6 +1,5 @@
 """Skip-gram word embeddings with negative sampling, plus the lookup
-utilities built on top of them (mean pooling, cosine, per-hashtag
-attribute vectors).
+utilities built on top of them (mean pooling, cosine).
 
 The trainer makes one vectorized SGD update per sentence: all of a
 sentence's pairs are scored against the vectors as they stood when
@@ -356,15 +355,3 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
         u, v = u / np.abs(u).max(), v / np.abs(v).max()
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     return float(u @ v / (nu * nv))
-
-
-def label_embedding(hashtag: str, vocab: Vocabulary, emb: EmbeddingMatrix) -> np.ndarray:
-    """Attribute vector of a hashtag label: the embedding row of the
-    token '#<hashtag>'. Raises if that token never made it into the
-    vocabulary; the caller must restrict the label set instead."""
-    token = "#" + hashtag
-    if token not in vocab.index:
-        raise DataError(
-            f"label {hashtag!r} has no embedding: token {token!r} not in vocabulary"
-        )
-    return emb.input_vectors[vocab.index[token]]

@@ -321,16 +321,8 @@ def zsl_cells(
             split = make_split(dataset.label_set, n_seen, n_unseen, seed)
             seen_set = subset_by_labels(dataset, split.seen)
             unseen_pool = subset_by_labels(dataset, split.unseen)
-            if config.setting == "fsl":
-                train_set, used = fsl_augment(
-                    seen_set,
-                    unseen_pool,
-                    shots_min=config.shots_min,
-                    shots_max=config.shots_max,
-                    seed=seed,
-                )
-            else:
-                train_set, used = seen_set, []
+            shots = (config.shots_min, config.shots_max) if config.setting == "fsl" else (0, 0)
+            train_set, used = fsl_augment(seen_set, unseen_pool, *shots, seed=seed)
             used_set = set(used)
             test_examples = [
                 ex for i, ex in enumerate(unseen_pool.examples) if i not in used_set

@@ -15,7 +15,7 @@ import logging
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -33,6 +33,8 @@ _EMOTICON_RE = re.compile(
     r"|[\)\]\(\[dDpP/\\|@\}\{]+[\-o\*']?[:;=8][<>]?"
     r"|<3)$"
 )
+# a hashtag token that cleaning leaves as it is: already spelled as its label
+_LABEL_TAG_RE = re.compile(r"#[a-z0-9]+")
 _PUNCT = string.punctuation
 _PUNCT_NO_PREFIX = _PUNCT.replace("#", "").replace("@", "")
 
@@ -65,6 +67,7 @@ class Corpus:
     label_counts: dict[str, int]
     drop_counts: dict[str, int] = field(default_factory=dict)
     n_input: int = 0
+    texts: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -76,17 +79,22 @@ class Dataset:
 
 
 def parse_raw_record(obj: dict) -> RawTweetRecord:
-    """Build a RawTweetRecord from one parsed JSON object."""
-    tweet_id = obj.get("id_str") or ""
-    if not tweet_id:
+    """Build a RawTweetRecord from one parsed JSON object. It is malformed
+    if id_str is not a non-empty string, or if text or
+    extended_tweet.full_text holds a value other than a string or null."""
+    tweet_id = obj.get("id_str")
+    if not (isinstance(tweet_id, str) and tweet_id):
         raise MalformedRecordError("record has no id_str")
+    text = obj.get("text")
     extended = obj.get("extended_tweet")
     extended_text = extended.get("full_text") if isinstance(extended, dict) else None
+    if not (isinstance(text, (str, type(None))) and isinstance(extended_text, (str, type(None)))):
+        raise MalformedRecordError(f"record {tweet_id}: text is not a string")
     retweeted = obj.get("retweeted_status")
     payload = parse_raw_record(retweeted) if isinstance(retweeted, dict) else None
     return RawTweetRecord(
         id=tweet_id,
-        text=obj.get("text"),
+        text=text,
         truncated=bool(obj.get("truncated", False)),
         extended_text=extended_text,
         retweet_payload=payload,
@@ -158,36 +166,44 @@ def extract_hashtags(tokens: Sequence[str]) -> tuple[list[str], set[str]]:
 
 def minimal_tokens(text: str) -> list[str]:
     """Minimal preprocessing for embedding-training corpora: URLs
-    removed, mentions replaced with "user", whitespace tokenization,
-    nothing else (case and hashtags survive)."""
+    removed, mentions replaced with "user", whitespace tokenization. A
+    token the cleaner reads as a hashtag is spelled as its label, '#' +
+    label ("#Coffee!" gives "#coffee"); other tokens keep their case."""
     text = _MENTION_RE.sub("user", text)
     text = _URL_RE.sub("", text)
-    return text.split()
+    tokens = text.split()
+    for i, token in enumerate(tokens):
+        if "#" in token and not _LABEL_TAG_RE.fullmatch(token):
+            _, tags = extract_hashtags(base_tokens(token))
+            if tags:
+                tokens[i] = "#" + tags.pop()
+    return tokens
 
 
-def filter_corpus(
-    records: Iterable[RawTweetRecord | dict], stopwords: set[str]
-) -> Corpus:
+def filter_corpus(records: Iterable[dict], stopwords: set[str]) -> Corpus:
     """Apply the drop rules in order (non-English, malformed, no
     hashtags, short body, duplicate body) and assemble the surviving
-    tweets with per-label tweet counts. Never raises on bad records;
-    every drop is counted by reason."""
+    tweets with per-label tweet counts. The recovered text of every
+    English, well-formed record, kept or not, stays on the corpus in
+    input order. Never raises on bad records; every drop is counted by
+    reason."""
     drops = {reason: 0 for reason in DROP_REASONS}
     tweets: list[CleanTweet] = []
+    texts: list[str] = []
     seen_bodies: set[tuple[str, ...]] = set()
     n_input = 0
-    for item in records:
+    for obj in records:
         n_input += 1
-        lang = item.get("lang", "") if isinstance(item, dict) else item.lang
-        if lang != "en":
+        if obj.get("lang", "") != "en":
             drops["non_english"] += 1
             continue
         try:
-            record = parse_raw_record(item) if isinstance(item, dict) else item
+            record = parse_raw_record(obj)
             text = normalize_raw(record)
         except MalformedRecordError:
             drops["malformed"] += 1
             continue
+        texts.append(text)
         body_pre, hashtags = extract_hashtags(base_tokens(text))
         if not hashtags:
             drops["no_hashtags"] += 1
@@ -201,15 +217,7 @@ def filter_corpus(
             continue
         seen_bodies.add(tokens)
         tweets.append(CleanTweet(id=record.id, tokens=list(tokens), labels=hashtags))
-    label_counts = Counter()
-    for tweet in tweets:
-        label_counts.update(tweet.labels)
-    return Corpus(
-        tweets=tweets,
-        label_counts=dict(label_counts),
-        drop_counts=drops,
-        n_input=n_input,
-    )
+    return replace(corpus_from_clean(tweets), drop_counts=drops, n_input=n_input, texts=texts)
 
 
 def select_top_labels(corpus: Corpus, n: int, min_tweets: int) -> list[str]:
@@ -312,10 +320,6 @@ def read_clean_jsonl(path) -> list[CleanTweet]:
 
 
 def corpus_from_clean(tweets: Sequence[CleanTweet]) -> Corpus:
-    """Rebuild a Corpus (with label counts) from already-cleaned tweets."""
-    label_counts = Counter()
-    for tweet in tweets:
-        label_counts.update(tweet.labels)
-    return Corpus(
-        tweets=list(tweets), label_counts=dict(label_counts), n_input=len(tweets)
-    )
+    """A Corpus of already-cleaned tweets, with per-label tweet counts."""
+    label_counts = Counter(label for tweet in tweets for label in tweet.labels)
+    return Corpus(tweets=list(tweets), label_counts=dict(label_counts), n_input=len(tweets))

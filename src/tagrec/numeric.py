@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
-ACTIVATIONS = ("tanh", "relu", "softmax", "identity")
+ACTIVATIONS = ("tanh", "relu", "softmax")
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,8 +47,6 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
         return relu(x)
     if name == "softmax":
         return softmax(x)
-    if name == "identity":
-        return x
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -58,7 +56,7 @@ class DenseLayer:
 
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str = "identity"
+    activation: str
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:

@@ -36,7 +36,6 @@ from .embedding import (
     EmbeddingMatrix,
     Vocabulary,
     cosine,
-    label_embedding,
 )
 from .errors import DataError, NotPositiveDefiniteError, NumericalError, write_json
 from .ingest import Dataset
@@ -77,31 +76,23 @@ class AttributeMatrix:
 
     matrix: np.ndarray  # (s, n_labels)
     labels: list[str]
-    label_index: dict[str, int]
 
     @classmethod
     def from_labels(
         cls, labels, vocab: Vocabulary, emb: EmbeddingMatrix
     ) -> "AttributeMatrix":
+        """Each label's column is the embedding row of the token
+        '#<label>'. A label whose token is not in the vocabulary raises
+        a DataError; the caller must restrict the label set instead."""
         labels = list(labels)
         try:
             rows = [vocab.index["#" + label] for label in labels]
-        except KeyError:
-            for label in labels:
-                label_embedding(label, vocab, emb)  # raises for the first missing label
-            raise
-        return cls(
-            matrix=emb.input_vectors[rows].T,
-            labels=labels,
-            label_index={label: i for i, label in enumerate(labels)},
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def column(self, label: str) -> np.ndarray:
-        return self.matrix[:, self.label_index[label]]
+        except KeyError as exc:
+            token = exc.args[0]
+            raise DataError(
+                f"label {token[1:]!r} has no embedding: token {token!r} not in vocabulary"
+            ) from None
+        return cls(matrix=emb.input_vectors[rows].T, labels=labels)
 
 
 @dataclass
@@ -276,12 +267,12 @@ def dem_loss_and_grad(
 
 
 def dem_fit(
-    features: np.ndarray, true_label_embeddings: np.ndarray, spec: TrainSpec
+    features: np.ndarray, label_vectors: np.ndarray, spec: TrainSpec
 ) -> DemModel:
     """Train the attribute-to-feature ReLU mapper by least squares with
     minibatch Adam; Xavier-uniform weights, zero bias, seeded shuffle."""
     X = np.asarray(features, dtype=float)
-    S = np.asarray(true_label_embeddings, dtype=float)
+    S = np.asarray(label_vectors, dtype=float)
     if X.shape[0] != S.shape[0] or X.shape[0] < 1:
         raise ValueError(f"got {X.shape[0]} features for {S.shape[0]} label vectors")
     m, p = X.shape
@@ -398,14 +389,6 @@ class ZslBundle:
     split: ZslSplit | None = None
 
 
-def _one_hot(labels, label_order) -> np.ndarray:
-    index = {label: i for i, label in enumerate(label_order)}
-    Y = np.zeros((len(labels), len(label_order)))
-    for row, label in enumerate(labels):
-        Y[row, index[label]] = 1.0
-    return Y
-
-
 def fit_bundles(
     classifier: BaselineClassifier,
     train: Dataset,
@@ -419,7 +402,9 @@ def fit_bundles(
     yield each as a ZslBundle, in method order.
 
     ESZSL and DEM share one feature pass over the training examples,
-    made when the first of them is fitted; ConSE needs none.
+    and one gather of their targets from the training labels (ESZSL's
+    one-hot rows, DEM's attribute vectors), made when the first of them
+    is fitted; ConSE needs neither.
     """
     vocab, emb = classifier.vocab, classifier.emb
     feats = None
@@ -428,15 +413,15 @@ def fit_bundles(
             feats = extract_features_batch(
                 classifier, [tokens for tokens, _ in train.examples]
             )
+            A = AttributeMatrix.from_labels(train.label_set, vocab, emb)
+            index = {label: i for i, label in enumerate(A.labels)}
+            y = np.array([index[label] for _, label in train.examples])
         if method == "conse":
             head = make_conse(classifier, vocab, emb, T=conse_T)
         elif method == "eszsl":
-            Y = _one_hot([label for _, label in train.examples], train.label_set)
-            A = AttributeMatrix.from_labels(train.label_set, vocab, emb)
-            head = eszsl_fit(feats.T, Y, A.matrix, gamma)
+            head = eszsl_fit(feats.T, np.eye(len(A.labels))[y], A.matrix, gamma)
         elif method == "dem":
-            S = np.stack([label_embedding(label, vocab, emb) for _, label in train.examples])
-            head = dem_fit(feats, S, dem_spec)
+            head = dem_fit(feats, A.matrix.T[y], dem_spec)
         else:
             raise ValueError(f"unknown method {method!r}")
         yield ZslBundle(method=method, classifier=classifier, head=head, split=split)
@@ -512,11 +497,7 @@ def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
         if not 1 <= T <= n:
             raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
         return ConseModel(
-            seen_embeddings=AttributeMatrix(
-                matrix=vectors.T,
-                labels=labels,
-                label_index={label: i for i, label in enumerate(labels)},
-            ),
+            seen_embeddings=AttributeMatrix(matrix=vectors.T, labels=labels),
             T=T,
         )
     if method == "eszsl":

@@ -4,10 +4,10 @@ objective with its analytic gradient, whose minimizer is the closed
 form tagrec.zsl.eszsl_fit computes, a plain-loop skip-gram trainer
 with the update rule of tagrec.embedding.train_sgns, plain-loop
 scores of the three zero-shot rankers, one candidate column at a time,
-the baseline's label probabilities for one tweet (predict_proba), the
-skip-gram pairs of a sentence as a list (skipgram_pairs), and a corpus
-with two interchangeable tokens for embedding checks
-(make_synonym_corpus)."""
+the baseline's label probabilities for one tweet (predict_proba), one
+hashtag's attribute vector (label_embedding), the skip-gram pairs of
+a sentence as a list (skipgram_pairs), and a corpus with two
+interchangeable tokens for embedding checks (make_synonym_corpus)."""
 
 import math
 from collections.abc import Sequence
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tagrec.embedding import _pair_positions
+from tagrec.embedding import EmbeddingMatrix, Vocabulary, _pair_positions
+from tagrec.errors import DataError
 from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
 
@@ -240,6 +241,18 @@ def predict_proba(model: BaselineClassifier, tokens) -> np.ndarray:
     """Probability vector over model.label_order; the exact softmax of
     the output layer applied to the extracted feature."""
     return model.output.apply(extract_features(model, tokens))
+
+
+def label_embedding(hashtag: str, vocab: Vocabulary, emb: EmbeddingMatrix) -> np.ndarray:
+    """Attribute vector of one hashtag label: the embedding row of the
+    token '#<hashtag>', or the DataError AttributeMatrix.from_labels
+    raises for a label without one."""
+    token = "#" + hashtag
+    if token not in vocab.index:
+        raise DataError(
+            f"label {hashtag!r} has no embedding: token {token!r} not in vocabulary"
+        )
+    return emb.input_vectors[vocab.index[token]]
 
 
 def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:

@@ -193,9 +193,7 @@ def _random_attrs(rng, s, n, force_tie, prefix="u"):
         i, j = rng.choice(n, size=2, replace=False)
         M[:, j] = M[:, i]
     labels = [f"{prefix}{i}" for i in range(n)]
-    return AttributeMatrix(
-        matrix=M, labels=labels, label_index={lab: i for i, lab in enumerate(labels)}
-    )
+    return AttributeMatrix(matrix=M, labels=labels)
 
 
 def test_03_ranker_oracle(announce):

@@ -16,7 +16,8 @@ import pytest
 from tagrec import cli, evaluate, zsl
 from tagrec.cli import main
 from tagrec.embedding import load_embeddings, save_embeddings
-from tagrec.errors import NumericalError
+from tagrec.errors import MalformedRecordError, NumericalError
+from tagrec.ingest import normalize_raw, parse_raw_record, read_raw_jsonl
 from tagrec.supervised import load_baseline_bundle
 from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import load_zsl_bundle
@@ -232,9 +233,96 @@ class TestIngestCommand:
         # cleaning pipeline later drops as short or duplicate
         assert len(lines) == 21
         assert lines[0] == "My quick brown fox jumps over lazy dogs #pets"
-        assert "Check user LOVES #AI today plus extra words" in lines
+        assert "Check user LOVES #ai today plus extra words" in lines
         assert all("https://" not in line for line in lines)
         assert all(line.strip() for line in lines)
+
+    def test_embedding_corpus_spells_every_label(self, capsys, tmp_path):
+        emb_corpus = tmp_path / "emb_corpus.txt"
+        run_cli(ingest_argv(tmp_path, min_tweets=3, emb_corpus=str(emb_corpus)), capsys)
+        # the corpus has one line per English, well-formed record
+        ids = []
+        for obj in read_raw_jsonl(RAW):
+            try:
+                if obj.get("lang") == "en":
+                    normalize_raw(parse_raw_record(obj))
+                    ids.append(obj["id_str"])
+            except MalformedRecordError:
+                pass
+        lines = emb_corpus.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(ids)
+        line_of = dict(zip(ids, lines))
+        kept = [json.loads(line) for line in (tmp_path / "clean.jsonl").read_text().splitlines()]
+        assert kept
+        for tweet in kept:
+            for label in tweet["labels"]:
+                assert "#" + label in line_of[tweet["id"]].split(), (tweet["id"], label)
+
+    @pytest.mark.parametrize(
+        "bad", [{"id_str": 7, "text": "a numeric id on an otherwise fine tweet #pets"},
+                {"id_str": "n1", "text": 123}],
+        ids=["numeric-id", "numeric-text"],
+    )
+    def test_wrongly_typed_record_is_a_malformed_drop(self, capsys, tmp_path, bad):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(
+            Path(RAW).read_text(encoding="utf-8") + json.dumps({**bad, "lang": "en"}) + "\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(
+            ["ingest", "--input", str(raw), "--out", str(tmp_path / "clean.jsonl"),
+             "--min-tweets", "3", "--emb-corpus", str(tmp_path / "emb.txt")],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "clean.report.json").read_text())
+        assert report["n_input"] == 26 and report["n_kept"] == 15
+        assert report["drops"]["malformed"] == 3
+        clean = (tmp_path / "clean.jsonl").read_text().splitlines()
+        assert all(isinstance(json.loads(line)["id"], str) for line in clean)
+
+    def test_mixed_case_hashtags_reach_the_grid(self, capsys, tmp_path):
+        # the only spellings of the coffee hashtag are #Coffee, #Coffee!
+        # and (#coffee); its label is "coffee", which needs "#coffee" in
+        # the embedding vocabulary
+        coffee = ("#Coffee", "#Coffee!", "(#coffee)")
+        pools = {
+            "coffee": ["bean", "roast", "brew", "mug", "espresso", "latte"],
+            "tea": ["leaf", "steep", "kettle", "green", "oolong", "cup"],
+            "yoga": ["pose", "mat", "breath", "stretch", "calm", "flow"],
+        }
+        raw = tmp_path / "raw.jsonl"
+        with open(raw, "w", encoding="utf-8") as fh:
+            for i in range(12):
+                for label, pool in pools.items():
+                    tag = coffee[i % 3] if label == "coffee" else "#" + label
+                    words = [pool[(i + j) % len(pool)] for j in range(5)] + [f"w{i}", tag]
+                    fh.write(json.dumps(
+                        {"id_str": f"{label}{i}", "text": " ".join(words), "lang": "en"}
+                    ) + "\n")
+        clean, corpus, vectors = (
+            str(tmp_path / name) for name in ("clean.jsonl", "corpus.txt", "vec.txt")
+        )
+        code, _, err = run_cli(
+            ["ingest", "--input", str(raw), "--out", clean, "--min-tweets", "1",
+             "--top-n", "3", "--emb-corpus", corpus],
+            capsys,
+        )
+        assert code == 0, err
+        code, _, err = run_cli(
+            ["train-embeddings", "--corpus", corpus, "--out", vectors, "--dim", "8",
+             "--epochs", "1", "--window", "2"],
+            capsys,
+        )
+        assert code == 0, err
+        code, _, err = run_cli(
+            ["zsl", "--clean", clean, "--embeddings", vectors,
+             "--labels", str(tmp_path / "clean.labels.json"), "--splits", "2/1",
+             "--seeds", "0", "--ks", "1", "--epochs", "2", "--hidden", "8",
+             "--dem-epochs", "2"],
+            capsys,
+        )
+        assert code == 0, err
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         argv = ingest_argv(tmp_path, min_tweets=3, top_n=2)
@@ -736,12 +824,39 @@ class TestExitCodeMapping:
     "script", sorted(p.name for p in (REPO / "scripts").glob("*.py"))
 )
 def test_script_help(script):
+    proc = run_script(script, "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
         capture_output=True, text=True, env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "script, args, experiment, n_cells",
+    [
+        ("run_zero_shot_benchmark.py",
+         ["--labels", "4", "--tweets-per-label", "10", "--splits", "3/1", "--seeds", "0",
+          "--methods", "conse, eszsl,dem", "--ks", "1", "--epochs", "2", "--dem-epochs", "2"],
+         "zsl", 3),
+        ("run_supervised_cv.py",
+         ["--labels", "3", "--tweets-per-label", "10", "--folds", "2", "--epochs", "2",
+          "--hidden", "16"],
+         "supervised", 2),
+    ],
+    ids=["zero-shot", "supervised-cv"],
+)
+def test_script_writes_its_results(tmp_path, script, args, experiment, n_cells):
+    out = tmp_path / "result.json"
+    proc = run_script(script, *args, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="ascii"))
+    assert result["experiment"] == experiment
+    assert len(result["cells"]) == n_cells

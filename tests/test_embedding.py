@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_math import make_synonym_corpus, sgns_reference, skipgram_pairs
+from reference_math import label_embedding, make_synonym_corpus, sgns_reference, skipgram_pairs
 from tagrec.embedding import (
     MAX_UPDATE_PAIRS,
     EmbeddingMatrix,
@@ -17,7 +17,6 @@ from tagrec.embedding import (
     Vocabulary,
     build_vocab,
     cosine,
-    label_embedding,
     load_embeddings,
     mean_pool,
     noise_distribution,

@@ -32,6 +32,20 @@ from tagrec.ingest import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+# records whose fields have the wrong JSON type: each is malformed
+WRONG_TYPES = {
+    "numeric-id": {"id_str": 7, "text": "seven is not a string id #x"},
+    "numeric-text": {"id_str": "1", "text": 123},
+    "list-full-text": {"id_str": "1", "truncated": True, "extended_tweet": {"full_text": ["x"]}},
+    "retweet-numeric-text": {
+        "id_str": "1", "text": "RT", "retweeted_status": {"id_str": "2", "text": 5}
+    },
+    "retweet-numeric-id": {
+        "id_str": "1", "text": "RT", "retweeted_status": {"id_str": 2, "text": "x"}
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def stopwords():
     return default_stopwords()
@@ -55,6 +69,12 @@ class TestParseRawRecord:
             parse_raw_record({"text": "hi", "lang": "en"})
         with pytest.raises(MalformedRecordError, match="id_str"):
             parse_raw_record({"id_str": "", "text": "hi"})
+
+    def test_null_text_is_absent(self):
+        rec = parse_raw_record(
+            {"id_str": "1", "text": None, "extended_tweet": {"full_text": "only this"}}
+        )
+        assert normalize_raw(rec) == "only this"
 
     def test_unknown_fields_ignored(self):
         rec = parse_raw_record({"id_str": "1", "text": "hi", "favorite_count": 3})
@@ -174,7 +194,11 @@ class TestExtractHashtags:
 class TestMinimalTokens:
     def test_preserves_case_and_hashtags(self):
         out = minimal_tokens("Keep CASE #Tag here")
-        assert out == ["Keep", "CASE", "#Tag", "here"]
+        assert out == ["Keep", "CASE", "#tag", "here"]
+
+    def test_hashtags_are_spelled_as_labels(self):
+        out = minimal_tokens("Love #Coffee! (#coffee) #COFFEE, but not # or a#b")
+        assert out == ["Love", "#coffee", "#coffee", "#coffee", "but", "not", "#", "or", "a#b"]
 
     def test_replaces_mentions_and_urls(self):
         out = minimal_tokens("@Bob see https://t.co/q now")
@@ -227,12 +251,18 @@ class TestFilterCorpus:
         assert corpus.drop_counts["non_english"] == 1
         assert corpus.drop_counts["malformed"] == 0
 
-    def test_accepts_prebuilt_records(self, stopwords):
-        rec = parse_raw_record(
-            {"id_str": "r1", "text": "prebuilt record path works fine #ok", "lang": "en"}
-        )
-        corpus = filter_corpus([rec], stopwords)
-        assert [t.id for t in corpus.tweets] == ["r1"]
+    @pytest.mark.parametrize("obj", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+    def test_wrong_field_types_are_malformed_drops(self, stopwords, obj):
+        good = {"id_str": "g", "text": "five plain words stay here #ok", "lang": "en"}
+        corpus = filter_corpus([{**obj, "lang": "en"}, good], stopwords)
+        assert corpus.drop_counts["malformed"] == 1
+        assert [t.id for t in corpus.tweets] == ["g"]
+        assert corpus.texts == [good["text"]]
+
+    def test_texts_of_english_well_formed_records(self, fixture_corpus):
+        # kept tweets and those dropped as hashtag-free, short or duplicate
+        assert len(fixture_corpus.texts) == 21
+        assert fixture_corpus.texts[0] == "My quick brown fox jumps over lazy dogs #pets"
 
     def test_golden_clean_jsonl_byte_exact(self, fixture_corpus, tmp_path):
         out = tmp_path / "clean.jsonl"

@@ -98,7 +98,7 @@ class TestDenseLayer:
 
     def test_rejects_mismatched_bias(self, rng):
         with pytest.raises(ValueError):
-            DenseLayer(weights=rng.standard_normal((4, 6)), bias=np.zeros(5))
+            DenseLayer(weights=rng.standard_normal((4, 6)), bias=np.zeros(5), activation="tanh")
 
     def test_rejects_unknown_activation(self, rng):
         with pytest.raises(ValueError):

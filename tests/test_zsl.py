@@ -49,6 +49,7 @@ from reference_math import (
     eszsl_objective,
     eszsl_objective_grad,
     eszsl_scores_reference,
+    label_embedding,
     ranked_reference,
 )
 
@@ -59,7 +60,6 @@ def _attr(matrix, labels):
     return AttributeMatrix(
         matrix=np.asarray(matrix, dtype=float),
         labels=list(labels),
-        label_index={lab: i for i, lab in enumerate(labels)},
     )
 
 
@@ -629,7 +629,7 @@ def _bundles(small_world):
     )
 
     S = np.stack(
-        [A.column(lab) for _, lab in train.examples]
+        [label_embedding(lab, corpus.vocab, corpus.emb) for _, lab in train.examples]
     )
     dem = ZslBundle(
         method="dem",
