@@ -331,12 +331,11 @@ def cmd_train_embeddings(cfg: dict) -> int:
         negatives=cfg["negatives"],
         epochs=cfg["epochs"],
         learning_rate=cfg["lr"],
-        min_count=cfg["min_count"],
         seed=cfg["seed"],
         subsample_threshold=cfg["subsample"],
     )
-    emb, losses = train_sgns(sentences, vocab, config)
-    save_embeddings(emb, vocab, cfg["out"])
+    vectors, losses = train_sgns(sentences, vocab, config)
+    save_embeddings(vectors, vocab, cfg["out"])
     print(
         json.dumps(
             {

@@ -1,5 +1,7 @@
 """Skip-gram word embeddings with negative sampling, plus the lookup
-utilities built on top of them (mean pooling, cosine).
+utilities built on top of them (mean pooling, cosine). An embedding is
+a Vocabulary and one (V, d) array of word vectors, row i for token i;
+the context vectors exist only while train_sgns runs.
 
 The trainer makes one vectorized SGD update per sentence: all of a
 sentence's pairs are scored against the vectors as they stood when
@@ -12,6 +14,7 @@ exchanged in the word2vec text format ("V d" header, then one
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,26 +42,12 @@ class Vocabulary:
 
 
 @dataclass
-class EmbeddingMatrix:
-    """Input (word) and output (context) vector tables, one row per
-    vocabulary entry."""
-
-    input_vectors: np.ndarray  # (V, d)
-    output_vectors: np.ndarray  # (V, d)
-
-    @property
-    def dim(self) -> int:
-        return self.input_vectors.shape[1]
-
-
-@dataclass
 class SgnsConfig:
     dim: int = 150
     window: int = 5
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.025
-    min_count: int = 1
     seed: int = 0
     subsample_threshold: float | None = None
 
@@ -179,7 +168,7 @@ def train_sgns(
     sentences: Sequence[Sequence[str]],
     vocab: Vocabulary,
     config: SgnsConfig,
-) -> tuple[EmbeddingMatrix, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Train skip-gram embeddings with negative sampling.
 
     Per (center, context) pair the loss is
@@ -192,13 +181,13 @@ def train_sgns(
     of them. A sentence of more than MAX_UPDATE_PAIRS pairs is updated
     in consecutive slices of that many. The step size decays per pair,
     linearly from the configured rate to 1e-4 of it over the run.
-    Input vectors start uniform in [-0.5/d, 0.5/d], output vectors at
+    Word vectors start uniform in [-0.5/d, 0.5/d], context vectors at
     zero.
 
-    Returns the embedding and one loss value per epoch. The loss is
-    measured after each epoch over the full pair set against a single
-    fixed draw of negatives, so the curve tracks parameter movement
-    rather than sampling noise.
+    Returns the (V, d) word vectors and one loss value per epoch. The
+    loss is measured after each epoch over the full pair set against a
+    single fixed draw of negatives, so the curve tracks parameter
+    movement rather than sampling noise.
     """
     rng = np.random.default_rng(config.seed)
     V, d = len(vocab), config.dim
@@ -230,7 +219,7 @@ def train_sgns(
 
     n_pairs = sum(len(centers) for centers, _ in sentence_pairs)
     if not n_pairs:
-        return EmbeddingMatrix(input_vectors=inp, output_vectors=out), []
+        return inp, []
     eval_centers = np.concatenate([centers for centers, _ in sentence_pairs])
     eval_contexts = np.concatenate([contexts for _, contexts in sentence_pairs])
     eval_rng = np.random.default_rng([config.seed, 1])
@@ -259,26 +248,29 @@ def train_sgns(
                 f"(last finite epoch means: {epoch_losses})"
             )
         epoch_losses.append(mean_loss)
-    return EmbeddingMatrix(input_vectors=inp, output_vectors=out), epoch_losses
+    return inp, epoch_losses
 
 
-def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path) -> None:
-    """Write input vectors in word2vec text format with 17 significant
+def save_embeddings(vectors: np.ndarray, vocab: Vocabulary, path) -> None:
+    """Write the word vectors in word2vec text format with 17 significant
     digits per value (enough to round-trip float64 exactly)."""
-    vecs = emb.input_vectors
     # utf-8: the minimally preprocessed training corpus keeps accented
     # tokens, so the vocabulary is not guaranteed to be ASCII
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(vocab)} {emb.dim}\n")
-        for i, token in enumerate(vocab.tokens):
-            fh.write(token + " " + " ".join(f"{x:.17g}" for x in vecs[i]) + "\n")
+        fh.write(f"{len(vocab)} {vectors.shape[1]}\n")
+        for token, row in zip(vocab.tokens, vectors):
+            fh.write(token + " " + " ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
-    """Stream a word2vec text file back into a vocabulary and embedding.
+def load_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
+    """Stream a word2vec text file back into a vocabulary and its (V, d)
+    word vectors. Counts are not part of the format, so every loaded
+    token gets frequency 1.
 
-    Counts are not part of the format, so every loaded token gets
-    frequency 1; context vectors likewise start at zero.
+    A row takes at least 2 * d + 2 bytes (a token, d one-character
+    values, d spaces and a newline, less one for the last row), so the
+    file's size bounds the rows it can hold, and no more are allocated
+    whatever the header declares.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -290,7 +282,12 @@ def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
                 n_rows, dim = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise DataError(f"{path}:1: non-numeric header {header!r}") from exc
-            vectors = np.empty((n_rows, dim))
+            if n_rows < 0 or dim < 1:
+                raise DataError(
+                    f"{path}:1: header {header!r} needs rows >= 0 and dimension >= 1"
+                )
+            body_bytes = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+            vectors = np.empty((min(n_rows, (body_bytes + 1) // (2 * dim + 2)), dim))
             tokens: list[str] = []
             index: dict[str, int] = {}
             for lineno, line in enumerate(fh, start=2):
@@ -302,6 +299,8 @@ def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
                         f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}"
                     )
                 token = fields[0]
+                if not token:
+                    raise DataError(f"{path}:{lineno}: empty token")
                 if token in index:
                     raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
                 try:
@@ -313,24 +312,18 @@ def load_embeddings(path) -> tuple[Vocabulary, EmbeddingMatrix]:
     except UnicodeDecodeError as exc:
         raise not_text(path, exc) from exc
     if len(tokens) != n_rows:
-        raise DataError(f"{path}: header declares {n_rows} rows, found {len(tokens)}")
-    vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index)
-    emb = EmbeddingMatrix(input_vectors=vectors, output_vectors=np.zeros_like(vectors))
-    return vocab, emb
+        raise DataError(f"{path}:1: header declares {n_rows} rows, found {len(tokens)}")
+    return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
 
 
-def mean_pool(
-    tokens: Sequence[str], vocab: Vocabulary, emb: EmbeddingMatrix
-) -> tuple[np.ndarray, bool]:
-    """Arithmetic mean of the input vectors of in-vocabulary tokens.
-
-    Returns (vector, all_oov); an input with no known tokens pools to
-    the zero vector with the flag set, so inference never aborts.
-    """
+def mean_pool(tokens: Sequence[str], vocab: Vocabulary, vectors: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the word vectors of in-vocabulary tokens; an
+    input with no known tokens pools to the zero vector, so inference
+    never aborts."""
     rows = [vocab.index[t] for t in tokens if t in vocab.index]
     if not rows:
-        return np.zeros(emb.dim), True
-    return emb.input_vectors[rows].mean(axis=0), False
+        return np.zeros(vectors.shape[1])
+    return vectors[rows].mean(axis=0)
 
 
 # norms whose squares are normal floats, where np.linalg.norm is exact

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix, Vocabulary
+from .embedding import Vocabulary
 from .errors import DataError
 from .ingest import Dataset
 from .supervised import (
@@ -214,7 +214,7 @@ def _predict_labels(model: BaselineClassifier, token_lists) -> list:
 def run_supervised_experiment(
     dataset: Dataset,
     vocab: Vocabulary,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     config: SupervisedExperimentConfig | None = None,
 ) -> dict:
     """Stratified k-fold run of the baseline classifier. Returns one
@@ -303,7 +303,7 @@ def _config_json(config: ZslExperimentConfig) -> dict:
 def zsl_cells(
     dataset: Dataset,
     vocab: Vocabulary,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     config: ZslExperimentConfig,
 ) -> Iterator[tuple[dict, ZslBundle]]:
     """Yield (cell, bundle) for each (split x seed x method) cell of
@@ -404,7 +404,7 @@ def zsl_result(config: ZslExperimentConfig, cells: list[dict]) -> dict:
 def run_zsl_experiment(
     dataset: Dataset,
     vocab: Vocabulary,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     config: ZslExperimentConfig,
 ) -> dict:
     """Grid of (split x method x seed) cells scored by Flat-Hit@K on

@@ -3,9 +3,12 @@ dataset assembly.
 
 All operations are pure functions of their inputs. The cleaning order
 is fixed: strip non-ASCII, lowercase, replace @-mentions with "user",
-delete URLs, tokenize, drop stopwords. The minimum-length rule (five
-body tokens) is applied to the hashtag-stripped body *before* stopword
-removal, so it does not depend on the stopword list in use.
+delete URLs, tokenize, drop stopwords. Stripping first splits the text
+at every character str.split() splits at, so a non-ASCII space such as
+U+00A0 separates tokens, as it does in minimal_tokens. The
+minimum-length rule (five body tokens) is applied to the
+hashtag-stripped body *before* stopword removal, so it does not depend
+on the stopword list in use.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ class Dataset:
 
 def parse_raw_record(obj: dict) -> RawTweetRecord:
     """Build a RawTweetRecord from one parsed JSON object. It is malformed
-    if id_str is not a non-empty string, or if text or
-    extended_tweet.full_text holds a value other than a string or null."""
+    if id_str is not a non-empty string, if text or
+    extended_tweet.full_text holds a value other than a string or null,
+    or if truncated holds a value other than a bool or null."""
     tweet_id = obj.get("id_str")
     if not (isinstance(tweet_id, str) and tweet_id):
         raise MalformedRecordError("record has no id_str")
@@ -90,12 +94,15 @@ def parse_raw_record(obj: dict) -> RawTweetRecord:
     extended_text = extended.get("full_text") if isinstance(extended, dict) else None
     if not (isinstance(text, (str, type(None))) and isinstance(extended_text, (str, type(None)))):
         raise MalformedRecordError(f"record {tweet_id}: text is not a string")
+    truncated = obj.get("truncated")
+    if not isinstance(truncated, (bool, type(None))):
+        raise MalformedRecordError(f"record {tweet_id}: truncated is not a bool")
     retweeted = obj.get("retweeted_status")
     payload = parse_raw_record(retweeted) if isinstance(retweeted, dict) else None
     return RawTweetRecord(
         id=tweet_id,
         text=text,
-        truncated=bool(obj.get("truncated", False)),
+        truncated=bool(truncated),
         extended_text=extended_text,
         retweet_payload=payload,
         lang=obj.get("lang", ""),
@@ -138,9 +145,12 @@ def _tokenize(text: str) -> list[str]:
 
 
 def base_tokens(text: str) -> list[str]:
-    """Cleaning steps 1-5: ASCII-fold, lowercase, mentions to "user",
-    URL removal, tokenization. No stopword filtering."""
-    text = text.encode("ascii", "ignore").decode("ascii")
+    """Cleaning steps 1-5: ASCII-fold (after a whitespace split, so a
+    non-ASCII space separates tokens rather than vanish), lowercase,
+    mentions to "user", URL removal, tokenization. No stopword
+    filtering."""
+    if not text.isascii():
+        text = " ".join(text.split()).encode("ascii", "ignore").decode("ascii")
     text = text.lower()
     text = _MENTION_RE.sub("user", text)
     text = _URL_RE.sub("", text)

@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
-ACTIVATIONS = ("tanh", "relu", "softmax")
+ACTIVATIONS = ("tanh", "softmax")
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,8 +43,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(x)
-    if name == "relu":
-        return relu(x)
     if name == "softmax":
         return softmax(x)
     raise ValueError(f"unknown activation {name!r}")

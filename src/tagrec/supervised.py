@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix, Vocabulary, load_embeddings, mean_pool
+from .embedding import Vocabulary, load_embeddings, mean_pool
 from .errors import DataError, read_json, write_json
 from .ingest import Dataset
 # adam_step is not called here; the name stays because perfbench's tracer
@@ -49,7 +49,7 @@ class BaselineClassifier:
     output: DenseLayer  # (n_labels, hidden_units), softmax
     label_order: list[str]
     vocab: Vocabulary
-    emb: EmbeddingMatrix
+    emb: np.ndarray  # (V, d) word vectors
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -57,17 +57,15 @@ class BaselineClassifier:
         return self.hidden.weights.shape[0]
 
 
-def pooled_features(
-    token_lists, vocab: Vocabulary, emb: EmbeddingMatrix
-) -> np.ndarray:
+def pooled_features(token_lists, vocab: Vocabulary, emb: np.ndarray) -> np.ndarray:
     """Mean-pooled embedding for each token list, stacked (m, d)."""
-    return np.stack([mean_pool(tokens, vocab, emb)[0] for tokens in token_lists])
+    return np.stack([mean_pool(tokens, vocab, emb) for tokens in token_lists])
 
 
 def train_baseline(
     train: Dataset,
     vocab: Vocabulary,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     spec: TrainSpec,
 ) -> BaselineClassifier:
     """Minibatch Adam training on mean cross-entropy, shuffled each
@@ -128,8 +126,7 @@ def train_baseline(
 def extract_features(model: BaselineClassifier, tokens) -> np.ndarray:
     """The hidden layer's tanh activations for one tweet: the semantic
     feature vector used by every ranking method."""
-    x, _ = mean_pool(tokens, model.vocab, model.emb)
-    return model.hidden.apply(x)
+    return model.hidden.apply(mean_pool(tokens, model.vocab, model.emb))
 
 
 def extract_features_batch(model: BaselineClassifier, token_lists) -> np.ndarray:
@@ -224,7 +221,7 @@ def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassif
             f"embedding file {emb_path!r} hash {actual} does not match bundle"
         )
     vocab, emb = load_embeddings(emb_path)
-    expect_shape("hidden weights", hidden.weights, (len(hidden.bias), emb.dim))
+    expect_shape("hidden weights", hidden.weights, (len(hidden.bias), emb.shape[1]))
     expect_shape("output weights", output.weights, (len(label_order), len(hidden.bias)))
     return BaselineClassifier(
         hidden=hidden,

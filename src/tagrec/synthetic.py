@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix, Vocabulary
+from .embedding import Vocabulary
 from .ingest import Dataset
 
 
@@ -28,20 +28,18 @@ from .ingest import Dataset
 class SyntheticCorpus:
     dataset: Dataset
     vocab: Vocabulary
-    emb: EmbeddingMatrix
+    emb: np.ndarray  # (V, d) word vectors
     centroids: dict[str, np.ndarray]
 
 
-def _vocabulary_from(tokens_with_counts, vectors) -> tuple[Vocabulary, EmbeddingMatrix]:
+def _vocabulary_from(tokens_with_counts, vectors) -> tuple[Vocabulary, np.ndarray]:
     ordered = sorted(tokens_with_counts, key=lambda tc: (-tc[1], tc[0]))
     tokens = [t for t, _ in ordered]
     counts = [c for _, c in ordered]
     vocab = Vocabulary(
         tokens=tokens, counts=counts, index={t: i for i, t in enumerate(tokens)}
     )
-    matrix = np.stack([vectors[t] for t in tokens])
-    emb = EmbeddingMatrix(input_vectors=matrix, output_vectors=np.zeros_like(matrix))
-    return vocab, emb
+    return vocab, np.stack([vectors[t] for t in tokens])
 
 
 def _separated_mixtures(

@@ -30,18 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import (
-    NORM_MAX,
-    NORM_MIN,
-    EmbeddingMatrix,
-    Vocabulary,
-    cosine,
-)
+from .embedding import NORM_MAX, NORM_MIN, Vocabulary, cosine
 from .errors import DataError, NotPositiveDefiniteError, NumericalError, write_json
 from .ingest import Dataset
 # adam_step is not called here; the name stays because perfbench's tracer
 # tests check that it is wrapped in every module that imports it
-from .numeric import DenseLayer, adam_step, relu, train_minibatch, xavier_uniform  # noqa: F401
+from .numeric import adam_step, relu, train_minibatch, xavier_uniform  # noqa: F401
 from .supervised import (
     BaselineClassifier,
     TrainSpec,
@@ -78,9 +72,7 @@ class AttributeMatrix:
     labels: list[str]
 
     @classmethod
-    def from_labels(
-        cls, labels, vocab: Vocabulary, emb: EmbeddingMatrix
-    ) -> "AttributeMatrix":
+    def from_labels(cls, labels, vocab: Vocabulary, emb: np.ndarray) -> "AttributeMatrix":
         """Each label's column is the embedding row of the token
         '#<label>'. A label whose token is not in the vocabulary raises
         a DataError; the caller must restrict the label set instead."""
@@ -92,7 +84,7 @@ class AttributeMatrix:
             raise DataError(
                 f"label {token[1:]!r} has no embedding: token {token!r} not in vocabulary"
             ) from None
-        return cls(matrix=emb.input_vectors[rows].T, labels=labels)
+        return cls(matrix=emb[rows].T, labels=labels)
 
 
 @dataclass
@@ -109,7 +101,10 @@ class EszslModel:
 
 @dataclass
 class DemModel:
-    mapper: DenseLayer  # (p, s), relu
+    """The attribute-to-feature mapper a -> relu(weights @ a + bias)."""
+
+    weights: np.ndarray  # (p, s)
+    bias: np.ndarray  # (p,)
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -286,10 +281,7 @@ def dem_fit(
     params, loss_history = train_minibatch(
         [xavier_uniform(s_dim, p, rng), np.zeros(p)], batch_loss_and_grads, m, spec, rng, "DEM"
     )
-    return DemModel(
-        mapper=DenseLayer(weights=params[0], bias=params[1], activation="relu"),
-        loss_history=loss_history,
-    )
+    return DemModel(weights=params[0], bias=params[1], loss_history=loss_history)
 
 
 def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
@@ -308,8 +300,8 @@ def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> P
             firsts.append(j)
         inverse.append(slot)
     # one row per distinct column, updated in place: relu(W a + b) - x
-    diff = A[:, firsts].T @ model.mapper.weights.T
-    diff += model.mapper.bias
+    diff = A[:, firsts].T @ model.weights.T
+    diff += model.bias
     np.maximum(diff, 0.0, out=diff)
     diff -= x
     scores = -np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -319,7 +311,7 @@ def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> P
 def make_conse(
     classifier: BaselineClassifier,
     vocab: Vocabulary,
-    emb: EmbeddingMatrix,
+    emb: np.ndarray,
     T: int | None = None,
 ) -> ConseModel:
     """ConSE head over the classifier's training labels; T defaults to
@@ -478,15 +470,15 @@ def _head_to_json(bundle: ZslBundle) -> dict:
         return {"gamma": bundle.head.gamma, "W": bundle.head.W.tolist()}
     if bundle.method == "dem":
         return {
-            "weights": bundle.head.mapper.weights.tolist(),
-            "bias": bundle.head.mapper.bias.tolist(),
+            "weights": bundle.head.weights.tolist(),
+            "bias": bundle.head.bias.tolist(),
             "loss_history": bundle.head.loss_history,
         }
     raise ValueError(f"unknown method {bundle.method!r}")
 
 
 def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
-    p, s, n = classifier.feature_dim, classifier.emb.dim, len(classifier.label_order)
+    p, s, n = classifier.feature_dim, classifier.emb.shape[1], len(classifier.label_order)
     if method == "conse":
         labels = list(obj["labels"])
         vectors = np.array(obj["vectors"], dtype=float)
@@ -505,13 +497,11 @@ def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
         expect_shape("ESZSL W", W, (p, s))
         return EszslModel(W=W, gamma=float(obj["gamma"]))
     if method == "dem":
-        mapper = DenseLayer(
-            weights=np.array(obj["weights"], dtype=float),
-            bias=np.array(obj["bias"], dtype=float),
-            activation="relu",
-        )
-        expect_shape("DEM weights", mapper.weights, (p, s))
-        return DemModel(mapper=mapper, loss_history=list(obj.get("loss_history", [])))
+        weights = np.array(obj["weights"], dtype=float)
+        bias = np.array(obj["bias"], dtype=float)
+        expect_shape("DEM weights", weights, (p, s))
+        expect_shape("DEM bias", bias, (p,))
+        return DemModel(weights, bias, loss_history=list(obj.get("loss_history", [])))
     raise DataError(f"unknown method {method!r} in bundle")
 
 

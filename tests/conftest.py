@@ -1,23 +1,7 @@
 import numpy as np
 import pytest
 
-from tagrec.embedding import EmbeddingMatrix, Vocabulary
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def tiny_vocab(tokens_vectors: dict[str, np.ndarray]) -> tuple[Vocabulary, EmbeddingMatrix]:
-    """Vocabulary + embedding straight from a token -> vector mapping;
-    every count is 1 so ordering is alphabetical."""
-    tokens = sorted(tokens_vectors)
-    vocab = Vocabulary(
-        tokens=tokens,
-        counts=[1] * len(tokens),
-        index={t: i for i, t in enumerate(tokens)},
-    )
-    matrix = np.stack([np.asarray(tokens_vectors[t], dtype=float) for t in tokens])
-    emb = EmbeddingMatrix(input_vectors=matrix, output_vectors=np.zeros_like(matrix))
-    return vocab, emb

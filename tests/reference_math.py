@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tagrec.embedding import EmbeddingMatrix, Vocabulary, _pair_positions
+from tagrec.embedding import Vocabulary, _pair_positions
 from tagrec.errors import DataError
 from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
@@ -132,8 +132,9 @@ def sgns_reference(sentences, vocab, config, max_update_pairs: int):
     update began, scaled by that pair's decayed step, and added in pair
     order. Draws its random numbers in the order train_sgns does.
 
-    Returns (input vectors, output vectors, epoch losses, and one
-    (context, negatives) entry per trained pair).
+    Returns (word vectors, epoch losses, and one (context, negatives)
+    entry per trained pair). The losses are computed from both the word
+    and the context vectors, so they check the updates of both.
     """
     rng = np.random.default_rng(config.seed)
     V, d, k, w = len(vocab), config.dim, config.negatives, config.window
@@ -193,7 +194,7 @@ def sgns_reference(sentences, vocab, config, max_update_pairs: int):
             total -= log_sigmoid(dot(inp[center], out[context]))
             total -= sum(log_sigmoid(-dot(inp[center], out[n])) for n in negs)
         losses.append(total / len(all_pairs))
-    return inp, out, losses, trained
+    return inp, losses, trained
 
 
 def _column(A, j) -> list[float]:
@@ -243,7 +244,7 @@ def predict_proba(model: BaselineClassifier, tokens) -> np.ndarray:
     return model.output.apply(extract_features(model, tokens))
 
 
-def label_embedding(hashtag: str, vocab: Vocabulary, emb: EmbeddingMatrix) -> np.ndarray:
+def label_embedding(hashtag: str, vocab: Vocabulary, emb: np.ndarray) -> np.ndarray:
     """Attribute vector of one hashtag label: the embedding row of the
     token '#<hashtag>', or the DataError AttributeMatrix.from_labels
     raises for a label without one."""
@@ -252,7 +253,7 @@ def label_embedding(hashtag: str, vocab: Vocabulary, emb: EmbeddingMatrix) -> np
         raise DataError(
             f"label {hashtag!r} has no embedding: token {token!r} not in vocabulary"
         )
-    return emb.input_vectors[vocab.index[token]]
+    return emb[vocab.index[token]]
 
 
 def skipgram_pairs(seq: Sequence[int], window: int) -> list[tuple[int, int]]:

@@ -22,7 +22,6 @@ from tagrec.evaluate import (
     run_supervised_experiment,
     run_zsl_experiment,
 )
-from tagrec.numeric import DenseLayer
 from tagrec.supervised import TrainSpec
 from tagrec.synthetic import make_clustered_corpus, make_separable_dataset
 from tagrec.zsl import (
@@ -37,7 +36,14 @@ from tagrec.zsl import (
     eszsl_rank,
 )
 
-from reference_math import eszsl_objective_grad, make_synonym_corpus
+from reference_math import (
+    conse_scores_reference,
+    dem_scores_reference,
+    eszsl_objective_grad,
+    eszsl_scores_reference,
+    make_synonym_corpus,
+    ranked_reference,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_tweets.jsonl")
@@ -173,20 +179,6 @@ def test_02_mapper_gradient_check(announce):
 # --- 3: rankers against a brute-force oracle --------------------------------
 
 
-def _py_dot(u, v):
-    return sum(float(a) * float(b) for a, b in zip(u, v))
-
-
-def _py_cosine(u, v):
-    nu, nv = math.sqrt(_py_dot(u, u)), math.sqrt(_py_dot(v, v))
-    return 0.0 if nu == 0.0 or nv == 0.0 else _py_dot(u, v) / (nu * nv)
-
-
-def _oracle_order(labels, scores):
-    order = sorted(range(len(labels)), key=lambda i: (-scores[i], i))
-    return [labels[i] for i in order]
-
-
 def _random_attrs(rng, s, n, force_tie, prefix="u"):
     M = rng.normal(size=(s, n))
     if force_tie:
@@ -210,10 +202,7 @@ def test_03_ranker_oracle(announce):
         T = int(rng.integers(1, n_seen + 1))
         f_x = conse_embed(probs, seen, T)
         got = conse_rank(f_x, unseen).labels()
-        want = _oracle_order(
-            unseen.labels,
-            [_py_cosine(f_x, unseen.matrix[:, i]) for i in range(n_unseen)],
-        )
+        want = ranked_reference(unseen.labels, conse_scores_reference(f_x, unseen.matrix))
         mismatches += got != want
         total += 1
 
@@ -223,16 +212,7 @@ def test_03_ranker_oracle(announce):
         x = rng.normal(size=p)
         unseen = _random_attrs(rng, s, n, force_tie=case % 3 == 0)
         got = eszsl_rank(model, x, unseen).labels()
-        scores = []
-        for i in range(n):
-            col = unseen.matrix[:, i]
-            scores.append(
-                sum(
-                    float(x[k]) * _py_dot(model.W[k], col)
-                    for k in range(p)
-                )
-            )
-        want = _oracle_order(unseen.labels, scores)
+        want = ranked_reference(unseen.labels, eszsl_scores_reference(model.W, x, unseen.matrix))
         mismatches += got != want
         total += 1
 
@@ -240,20 +220,10 @@ def test_03_ranker_oracle(announce):
         p, s, n = 7, 5, 8
         W = rng.normal(size=(p, s))
         b = rng.normal(size=p)
-        model = DemModel(
-            mapper=DenseLayer(weights=W, bias=b, activation="relu"),
-            loss_history=[],
-        )
         x = rng.normal(size=p)
         unseen = _random_attrs(rng, s, n, force_tie=case % 3 == 0)
-        got = dem_rank(model, x, unseen).labels()
-        scores = []
-        for i in range(n):
-            col = unseen.matrix[:, i]
-            mapped = [max(0.0, _py_dot(W[k], col) + float(b[k])) for k in range(p)]
-            dist = math.sqrt(sum((mk - float(xk)) ** 2 for mk, xk in zip(mapped, x)))
-            scores.append(-dist)
-        want = _oracle_order(unseen.labels, scores)
+        got = dem_rank(DemModel(weights=W, bias=b), x, unseen).labels()
+        want = ranked_reference(unseen.labels, dem_scores_reference(W, b, x, unseen.matrix))
         mismatches += got != want
         total += 1
 
@@ -442,14 +412,14 @@ def test_09_synonym_embeddings(announce):
         dim=20, window=2, negatives=5, epochs=20, learning_rate=0.015, seed=0
     )
     vocab = build_vocab(sentences, min_count=1)
-    emb, losses = train_sgns(sentences, vocab, config)
+    vectors, losses = train_sgns(sentences, vocab, config)
 
-    va = emb.input_vectors[vocab.index[first]]
-    vb = emb.input_vectors[vocab.index[second]]
+    va = vectors[vocab.index[first]]
+    vb = vectors[vocab.index[second]]
     synonym_cos = cosine(va, vb)
     rival_cos = max(
-        max(cosine(va, emb.input_vectors[vocab.index[u]]),
-            cosine(vb, emb.input_vectors[vocab.index[u]]))
+        max(cosine(va, vectors[vocab.index[u]]),
+            cosine(vb, vectors[vocab.index[u]]))
         for u in unrelated
     )
     violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)

@@ -238,11 +238,19 @@ class TestIngestCommand:
         assert all(line.strip() for line in lines)
 
     def test_embedding_corpus_spells_every_label(self, capsys, tmp_path):
+        # the fixture plus a hashtag that a no-break space ends
+        raw = tmp_path / "raw.jsonl"
+        extra = {"id_str": "nbsp", "lang": "en",
+                 "text": "one two three four five words #Coffee\u00a0time"}
+        raw.write_text(Path(RAW).read_text(encoding="utf-8") + json.dumps(extra) + "\n",
+                       encoding="utf-8")
         emb_corpus = tmp_path / "emb_corpus.txt"
-        run_cli(ingest_argv(tmp_path, min_tweets=3, emb_corpus=str(emb_corpus)), capsys)
+        argv = ingest_argv(tmp_path, min_tweets=3, emb_corpus=str(emb_corpus))
+        argv[argv.index(RAW)] = str(raw)
+        run_cli(argv, capsys)
         # the corpus has one line per English, well-formed record
         ids = []
-        for obj in read_raw_jsonl(RAW):
+        for obj in read_raw_jsonl(raw):
             try:
                 if obj.get("lang") == "en":
                     normalize_raw(parse_raw_record(obj))
@@ -253,7 +261,8 @@ class TestIngestCommand:
         assert len(lines) == len(ids)
         line_of = dict(zip(ids, lines))
         kept = [json.loads(line) for line in (tmp_path / "clean.jsonl").read_text().splitlines()]
-        assert kept
+        assert kept[-1]["id"] == "nbsp" and kept[-1]["labels"] == ["coffee"]
+        assert kept[-1]["tokens"][-1] == "time"
         for tweet in kept:
             for label in tweet["labels"]:
                 assert "#" + label in line_of[tweet["id"]].split(), (tweet["id"], label)
@@ -377,9 +386,9 @@ class TestTrainEmbeddingsCommand:
         out = str(tmp_path / "emb.txt")
         code, stdout, _ = run_cli(self._argv(corpus_file, out), capsys)
         assert code == 0
-        vocab, emb = load_embeddings(out)
+        vocab, vectors = load_embeddings(out)
         assert len(vocab) == 9  # red apple sweet green pear tart fruit0..2
-        assert emb.dim == 8
+        assert vectors.shape == (9, 8)
         payload = json.loads(stdout)
         assert payload["vocab_size"] == 9
         assert len(payload["epoch_losses"]) == 2
@@ -470,6 +479,19 @@ class TestTrainBaselineCommand:
             ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
         )
         assert code == 2 and f"data error: {vectors}:2: not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "header", ["-5 3", "100000000000000 3", "1 0"], ids=["negative", "huge", "zero-dim"]
+    )
+    def test_bad_embedding_header_is_a_data_error(self, capsys, tmp_path, world, header):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"{header}\ntok 0.5 0.25 0.125\n", encoding="ascii")
+        flags = list(world.data_flags)
+        flags[flags.index("--embeddings") + 1] = str(vectors)
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
+        )
+        assert code == 2 and f"data error: {vectors}:1: header" in err
 
     def test_label_catalog_restricts_and_orders(self, capsys, tmp_path, world):
         subset = sorted(world.corpus.dataset.label_set)[:3][::-1]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from reference_math import label_embedding, make_synonym_corpus, sgns_reference, skipgram_pairs
 from tagrec.embedding import (
     MAX_UPDATE_PAIRS,
-    EmbeddingMatrix,
     SgnsConfig,
     Vocabulary,
     build_vocab,
@@ -137,26 +136,24 @@ class TestTrainSgns:
         sentences = self._tiny_corpus()
         vocab = build_vocab(sentences)
         cfg = SgnsConfig(dim=8, window=2, negatives=3, epochs=2, seed=3)
-        emb1, losses1 = train_sgns(sentences, vocab, cfg)
-        emb2, losses2 = train_sgns(sentences, vocab, cfg)
-        assert np.array_equal(emb1.input_vectors, emb2.input_vectors)
-        assert np.array_equal(emb1.output_vectors, emb2.output_vectors)
+        vectors1, losses1 = train_sgns(sentences, vocab, cfg)
+        vectors2, losses2 = train_sgns(sentences, vocab, cfg)
+        assert np.array_equal(vectors1, vectors2)
         assert losses1 == losses2
 
     def test_seed_changes_result(self):
         sentences = self._tiny_corpus()
         vocab = build_vocab(sentences)
-        emb1, _ = train_sgns(sentences, vocab, SgnsConfig(dim=8, epochs=1, seed=0))
-        emb2, _ = train_sgns(sentences, vocab, SgnsConfig(dim=8, epochs=1, seed=1))
-        assert not np.array_equal(emb1.input_vectors, emb2.input_vectors)
+        vectors1, _ = train_sgns(sentences, vocab, SgnsConfig(dim=8, epochs=1, seed=0))
+        vectors2, _ = train_sgns(sentences, vocab, SgnsConfig(dim=8, epochs=1, seed=1))
+        assert not np.array_equal(vectors1, vectors2)
 
     def test_shapes_and_loss_length(self):
         sentences = self._tiny_corpus()
         vocab = build_vocab(sentences)
         cfg = SgnsConfig(dim=10, window=2, negatives=2, epochs=4, seed=0)
-        emb, losses = train_sgns(sentences, vocab, cfg)
-        assert emb.input_vectors.shape == (len(vocab), 10)
-        assert emb.output_vectors.shape == (len(vocab), 10)
+        vectors, losses = train_sgns(sentences, vocab, cfg)
+        assert vectors.shape == (len(vocab), 10)
         assert len(losses) == 4
         assert all(math.isfinite(x) for x in losses)
 
@@ -170,23 +167,23 @@ class TestTrainSgns:
     def test_no_pairs_returns_empty_history(self):
         sentences = [["solo"], ["alone"]]
         vocab = build_vocab(sentences)
-        emb, losses = train_sgns(sentences, vocab, SgnsConfig(dim=4, epochs=3))
+        vectors, losses = train_sgns(sentences, vocab, SgnsConfig(dim=4, epochs=3))
         assert losses == []
-        assert np.all(emb.output_vectors == 0.0)
+        assert vectors.shape == (2, 4)
 
     def test_out_of_vocabulary_tokens_are_skipped(self):
         sentences = [["a", "b", "a", "b"]] * 10
         vocab = build_vocab(sentences, min_count=1)
         with_noise = [s + ["zzz_unseen"] for s in sentences]
-        emb, losses = train_sgns(with_noise, vocab, SgnsConfig(dim=4, window=1, epochs=1))
+        _, losses = train_sgns(with_noise, vocab, SgnsConfig(dim=4, window=1, epochs=1))
         assert len(losses) == 1 and math.isfinite(losses[0])
 
     def test_subsampling_runs(self):
         sentences = self._tiny_corpus()
         vocab = build_vocab(sentences)
         cfg = SgnsConfig(dim=6, epochs=1, subsample_threshold=1e-3, seed=0)
-        emb, losses = train_sgns(sentences, vocab, cfg)
-        assert emb.input_vectors.shape == (len(vocab), 6)
+        vectors, _ = train_sgns(sentences, vocab, cfg)
+        assert vectors.shape == (len(vocab), 6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="window"):
@@ -204,10 +201,11 @@ class TestTrainSgns:
 
     def _assert_matches_reference(self, sentences, cfg):
         vocab = build_vocab(sentences)
-        emb, losses = train_sgns(sentences, vocab, cfg)
-        inp, out, ref_losses, trained = sgns_reference(sentences, vocab, cfg, MAX_UPDATE_PAIRS)
-        np.testing.assert_allclose(emb.input_vectors, inp, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(emb.output_vectors, out, rtol=1e-12, atol=0)
+        vectors, losses = train_sgns(sentences, vocab, cfg)
+        inp, ref_losses, trained = sgns_reference(sentences, vocab, cfg, MAX_UPDATE_PAIRS)
+        np.testing.assert_allclose(vectors, inp, rtol=1e-12, atol=0)
+        # each epoch's loss is taken at the context vectors too, so this
+        # also checks their updates
         np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
         return trained
 
@@ -270,9 +268,9 @@ class TestSynonymGeometry:
         sentences, (syn_a, syn_b), unrelated = make_synonym_corpus(seed=0)
         vocab = build_vocab(sentences)
         cfg = SgnsConfig(dim=20, window=2, negatives=5, epochs=20, learning_rate=0.015, seed=0)
-        emb, losses = train_sgns(sentences, vocab, cfg)
+        vectors, losses = train_sgns(sentences, vocab, cfg)
 
-        vec = lambda t: emb.input_vectors[vocab.index[t]]
+        vec = lambda t: vectors[vocab.index[t]]
         sim_ab = cosine(vec(syn_a), vec(syn_b))
         assert sim_ab >= 0.8
         for other in unrelated:
@@ -288,43 +286,35 @@ class TestEmbeddingIO:
     def _random_embedding(self, rng):
         tokens = ["alpha", "#tag", "beta"]
         vocab = build_vocab([tokens * 2])
-        emb = EmbeddingMatrix(
-            input_vectors=rng.standard_normal((3, 5)),
-            output_vectors=rng.standard_normal((3, 5)),
-        )
-        return vocab, emb
+        return vocab, rng.standard_normal((3, 5))
 
     def test_round_trip_is_exact(self, tmp_path, rng):
-        vocab, emb = self._random_embedding(rng)
+        vocab, vectors = self._random_embedding(rng)
         path = tmp_path / "vectors.txt"
-        save_embeddings(emb, vocab, path)
-        vocab2, emb2 = load_embeddings(path)
+        save_embeddings(vectors, vocab, path)
+        vocab2, vectors2 = load_embeddings(path)
         assert vocab2.tokens == vocab.tokens
         assert vocab2.index == vocab.index
         assert vocab2.counts == [1] * len(vocab)
-        assert np.array_equal(emb2.input_vectors, emb.input_vectors)
-        assert np.all(emb2.output_vectors == 0.0)
+        assert np.array_equal(vectors2, vectors)
 
     def test_round_trip_keeps_non_ascii_tokens(self, tmp_path, rng):
         # the minimally preprocessed corpus keeps accented words, so the
         # file format has to carry them
         vocab = build_vocab([["café", "plain", "naïve"]])
-        emb = EmbeddingMatrix(
-            input_vectors=rng.standard_normal((3, 4)),
-            output_vectors=np.zeros((3, 4)),
-        )
+        vectors = rng.standard_normal((3, 4))
         path = tmp_path / "vectors.txt"
-        save_embeddings(emb, vocab, path)
-        vocab2, emb2 = load_embeddings(path)
+        save_embeddings(vectors, vocab, path)
+        vocab2, vectors2 = load_embeddings(path)
         assert vocab2.tokens == vocab.tokens
-        assert np.array_equal(emb2.input_vectors, emb.input_vectors)
+        assert np.array_equal(vectors2, vectors)
 
     def test_header_row_matches_content(self, tmp_path, rng):
-        vocab, emb = self._random_embedding(rng)
+        vocab, vectors = self._random_embedding(rng)
         path = tmp_path / "vectors.txt"
-        save_embeddings(emb, vocab, path)
+        save_embeddings(vectors, vocab, path)
         header = path.read_text().splitlines()[0]
-        assert header == f"{len(vocab)} {emb.dim}"
+        assert header == f"{len(vocab)} {vectors.shape[1]}"
 
     @pytest.mark.parametrize(
         "content,match",
@@ -336,6 +326,12 @@ class TestEmbeddingIO:
             ("2 2\ntok 1 2\ntok 3 4\n", "duplicate token"),
             ("1 2\ntok 1 2\nextra 3 4\n", "more rows"),
             ("3 2\ntok 1 2\n", "found 1"),
+            ("1 2\n 1 2\n", "empty token"),
+            ("-5 3\n", r"bad\.txt:1: header .* needs rows >= 0 and dimension >= 1"),
+            ("1 0\ntok\n", r"bad\.txt:1: header .* needs rows >= 0 and dimension >= 1"),
+            # more rows than the file could hold are never allocated
+            ("100000000000000 3\ntok 1 2 3\n",
+             r"bad\.txt:1: header declares 100000000000000 rows, found 1"),
         ],
     )
     def test_malformed_files_raise_with_location(self, tmp_path, content, match):
@@ -343,6 +339,27 @@ class TestEmbeddingIO:
         path.write_text(content)
         with pytest.raises(DataError, match=match):
             load_embeddings(path)
+
+    def test_rows_at_the_size_bound_load(self, tmp_path):
+        # two rows of 2 * d + 2 bytes, the last without its newline
+        path = tmp_path / "tight.txt"
+        path.write_text("2 2\na 1 2\nb 3 4")
+        vocab, vectors = load_embeddings(path)
+        assert vocab.tokens == ["a", "b"]
+        assert np.array_equal(vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_load_holds_no_second_table(self, tmp_path, rng):
+        vocab = build_vocab([[f"w{i}" for i in range(4000)]])
+        vectors = rng.standard_normal((4000, 150))
+        path = tmp_path / "vectors.txt"
+        save_embeddings(vectors, vocab, path)
+        tracemalloc.start()
+        try:
+            _, loaded = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * loaded.nbytes
 
     def test_non_utf8_file_names_file_and_line(self, tmp_path):
         path = tmp_path / "latin1.txt"
@@ -358,33 +375,27 @@ class TestLookupUtilities:
             counts=[2, 1, 1],
             index={"a": 0, "b": 1, "#go": 2},
         )
-        emb = EmbeddingMatrix(
-            input_vectors=np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]]),
-            output_vectors=np.zeros((3, 2)),
-        )
-        return vocab, emb
+        return vocab, np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
 
     def test_mean_pool_averages_known_tokens(self):
         vocab, emb = self._fixture()
-        vec, all_oov = mean_pool(["a", "b"], vocab, emb)
+        vec = mean_pool(["a", "b"], vocab, emb)
+        assert isinstance(vec, np.ndarray) and vec.shape == (2,)
         assert vec == pytest.approx([1.0, 2.0])
-        assert all_oov is False
 
     def test_mean_pool_ignores_unknown_tokens(self):
         vocab, emb = self._fixture()
-        vec, all_oov = mean_pool(["a", "mystery"], vocab, emb)
+        vec = mean_pool(["a", "mystery"], vocab, emb)
         assert vec == pytest.approx([2.0, 0.0])
-        assert all_oov is False
 
     def test_mean_pool_all_oov(self):
         vocab, emb = self._fixture()
-        vec, all_oov = mean_pool(["x", "y"], vocab, emb)
+        vec = mean_pool(["x", "y"], vocab, emb)
         assert np.all(vec == 0.0) and vec.shape == (2,)
-        assert all_oov is True
 
     def test_mean_pool_counts_repeats(self):
         vocab, emb = self._fixture()
-        vec, _ = mean_pool(["a", "a", "b"], vocab, emb)
+        vec = mean_pool(["a", "a", "b"], vocab, emb)
         assert vec == pytest.approx([4.0 / 3.0, 4.0 / 3.0])
 
     def test_cosine_reference_values(self):

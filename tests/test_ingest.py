@@ -43,6 +43,15 @@ WRONG_TYPES = {
     "retweet-numeric-id": {
         "id_str": "1", "text": "RT", "retweeted_status": {"id_str": 2, "text": "x"}
     },
+    "string-truncated": {
+        "id_str": "1", "text": "short cut", "truncated": "false",
+        "extended_tweet": {"full_text": "the long text"},
+    },
+    "numeric-truncated": {"id_str": "1", "text": "x", "truncated": 1},
+    "retweet-string-truncated": {
+        "id_str": "1", "text": "RT",
+        "retweeted_status": {"id_str": "2", "text": "x", "truncated": "true"},
+    },
 }
 
 
@@ -75,6 +84,15 @@ class TestParseRawRecord:
             {"id_str": "1", "text": None, "extended_tweet": {"full_text": "only this"}}
         )
         assert normalize_raw(rec) == "only this"
+
+    def test_truncated_must_be_a_bool(self):
+        with pytest.raises(MalformedRecordError, match="truncated"):
+            parse_raw_record({"id_str": "1", "text": "short cut", "truncated": "false",
+                              "extended_tweet": {"full_text": "the long text"}})
+        with pytest.raises(MalformedRecordError, match="truncated"):
+            parse_raw_record({"id_str": "1", "text": "RT", "retweeted_status": {
+                "id_str": "2", "text": "x", "truncated": 0}})
+        assert parse_raw_record({"id_str": "1", "text": "x", "truncated": None}).truncated is False
 
     def test_unknown_fields_ignored(self):
         rec = parse_raw_record({"id_str": "1", "text": "hi", "favorite_count": 3})
@@ -151,6 +169,17 @@ class TestCleanText:
     def test_removes_urls_scheme_and_tco(self, stopwords):
         out = clean_text("see http://ex.com/a?b=1 plus t.co/xyz done", stopwords)
         assert out == ["see", "plus", "done"]
+
+    def test_non_ascii_whitespace_splits_tokens(self):
+        # split at every str.split() separator before the ASCII fold drops it
+        assert base_tokens("#Coffee\u00a0time") == ["#coffee", "time"]
+        assert base_tokens("one\u2003two\u3000three\x85four") == ["one", "two", "three", "four"]
+
+    def test_hashtag_label_matches_embedding_corpus_spelling(self):
+        text = "one two three four five words #Coffee\u00a0time"
+        _, tags = extract_hashtags(base_tokens(text))
+        assert tags == {"coffee"}
+        assert minimal_tokens(text)[-2:] == ["#coffee", "time"]
 
     def test_keeps_emoticons_and_strips_punct(self, stopwords):
         assert base_tokens("great :) (wow!)") == ["great", ":)", "wow"]

@@ -237,7 +237,7 @@ class TestBundle:
         assert back.label_order == trained.label_order
         assert back.loss_history == trained.loss_history
         assert back.vocab.tokens == separable.vocab.tokens
-        assert np.array_equal(back.emb.input_vectors, separable.emb.input_vectors)
+        assert np.array_equal(back.emb, separable.emb)
 
     def test_predictions_survive_round_trip(self, trained, separable, tmp_path):
         bundle_path, _ = self._save(trained, separable.vocab, separable.emb, tmp_path)

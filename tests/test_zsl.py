@@ -17,7 +17,6 @@ from tagrec import supervised, zsl
 from tagrec.embedding import cosine, save_embeddings
 from tagrec.errors import DataError, NotPositiveDefiniteError, NumericalError
 from tagrec.ingest import Dataset
-from tagrec.numeric import DenseLayer
 from tagrec.supervised import TrainSpec, extract_features, train_baseline
 from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import (
@@ -312,8 +311,8 @@ class TestDem:
         spec = TrainSpec(epochs=5, batch_size=1, seed=9, learning_rate=0.001)
         model = dem_fit(x[None, :], s[None, :], spec)
         assert model.loss_history == pytest.approx([0.0] * 5, abs=1e-30)
-        assert np.array_equal(model.mapper.weights, W0)
-        assert np.all(model.mapper.bias == 0.0)
+        assert np.array_equal(model.weights, W0)
+        assert np.all(model.bias == 0.0)
 
     def test_deterministic(self, rng):
         X = rng.standard_normal((20, 8))
@@ -321,7 +320,7 @@ class TestDem:
         spec = TrainSpec(epochs=4, batch_size=4, seed=2)
         a = dem_fit(X, S, spec)
         b = dem_fit(X, S, spec)
-        assert np.array_equal(a.mapper.weights, b.mapper.weights)
+        assert np.array_equal(a.weights, b.weights)
         assert a.loss_history == b.loss_history
 
     def test_divergence_names_the_last_finite_losses(self, rng):
@@ -350,9 +349,6 @@ class TestDem:
             dem_fit(rng.standard_normal((5, 4)), rng.standard_normal((6, 3)), TrainSpec())
 
     def test_rank_matches_brute_force(self, rng):
-        from tagrec.zsl import DemModel
-        from tagrec.numeric import DenseLayer
-
         for _ in range(100):
             p, s, n = int(rng.integers(2, 7)), int(rng.integers(2, 6)), int(rng.integers(2, 8))
             W = rng.standard_normal((p, s))
@@ -366,16 +362,13 @@ class TestDem:
                 -float(np.linalg.norm(np.maximum(W @ M[:, i] + b, 0.0) - x))
                 for i in range(n)
             ]
-            model = DemModel(mapper=DenseLayer(weights=W, bias=b, activation="relu"))
+            model = DemModel(weights=W, bias=b)
             assert dem_rank(model, x, _attr(M, labels)).labels() == _brute_rank(labels, scores)
 
     def test_rank_scores_are_negated_distances(self, rng):
-        from tagrec.zsl import DemModel
-        from tagrec.numeric import DenseLayer
-
         W = rng.standard_normal((4, 3))
         M = rng.standard_normal((3, 5))
-        model = DemModel(mapper=DenseLayer(weights=W, bias=np.zeros(4), activation="relu"))
+        model = DemModel(weights=W, bias=np.zeros(4))
         pred = dem_rank(model, rng.standard_normal(4), _attr(M, list("abcde")))
         scores = [s for _, s in pred.ranked]
         assert all(s <= 0.0 for s in scores)
@@ -405,8 +398,8 @@ def _rank_with(method, rng, A, s, p=16):
     x = rng.standard_normal(p)
     if method == "eszsl":
         return eszsl_rank(EszslModel(W=rng.standard_normal((p, s)), gamma=1.0), x, attrs)
-    layer = DenseLayer(weights=rng.standard_normal((p, s)), bias=rng.standard_normal(p), activation="relu")
-    return dem_rank(DemModel(mapper=layer), x, attrs)
+    model = DemModel(weights=rng.standard_normal((p, s)), bias=rng.standard_normal(p))
+    return dem_rank(model, x, attrs)
 
 
 @st.composite
@@ -458,11 +451,10 @@ class TestRankersAtScale:
         A, f, W, b, x = instance
         labels = [f"c{j}" for j in range(A.shape[1])]
         attrs = _attr(A, labels)
-        layer = DenseLayer(weights=W, bias=b, activation="relu")
         cases = [
             (conse_rank(f, attrs), conse_scores_reference(f, A)),
             (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A)),
-            (dem_rank(DemModel(mapper=layer), x, attrs), dem_scores_reference(W, b, x, A)),
+            (dem_rank(DemModel(weights=W, bias=b), x, attrs), dem_scores_reference(W, b, x, A)),
         ]
         for pred, want in cases:
             assert pred.labels() == ranked_reference(labels, want)
@@ -481,14 +473,13 @@ class TestRankersAtScale:
         labels = [f"c{j}" for j in range(A.shape[1])]
         attrs = _attr(A, labels)
         b = np.zeros(len(x))
-        layer = DenseLayer(weights=W, bias=b, activation="relu")
         # rounding error bounds: sums of absolute terms
         bilinear = (np.abs(x) @ np.abs(W)) @ np.abs(A)
         mapped = np.abs(W) @ np.abs(A)
         cases = [
             (conse_rank(f, attrs), conse_scores_reference(f, A), np.ones(A.shape[1])),
             (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A), bilinear),
-            (dem_rank(DemModel(mapper=layer), x, attrs), dem_scores_reference(W, b, x, A),
+            (dem_rank(DemModel(weights=W, bias=b), x, attrs), dem_scores_reference(W, b, x, A),
              np.sqrt(((mapped + np.abs(x)[:, None]) ** 2).sum(axis=0))),
         ]
         for pred, want, scale in cases:
