@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -205,9 +205,7 @@ def _dataset_subset(dataset: Dataset, indices) -> Dataset:
 
 
 def _predict_labels(model: BaselineClassifier, token_lists) -> list:
-    feats = extract_features_batch(model, token_lists)
-    probs = model.output.apply_batch(feats)
-    winners = np.argmax(probs, axis=1)
+    winners = np.argmax(model.probs(extract_features_batch(model, token_lists)), axis=1)
     return [model.label_order[int(w)] for w in winners]
 
 
@@ -251,12 +249,7 @@ def run_supervised_experiment(
     }
     return {
         "experiment": "supervised",
-        "config": {
-            "folds": config.folds,
-            "seed": config.seed,
-            "averaging": config.averaging,
-            "train": vars(config.train).copy(),
-        },
+        "config": asdict(config),
         "cells": cells,
         "mean": mean,
     }
@@ -285,19 +278,7 @@ class ZslExperimentConfig:
 
 
 def _config_json(config: ZslExperimentConfig) -> dict:
-    return {
-        "splits": [f"{a}/{b}" for a, b in config.splits],
-        "methods": list(config.methods),
-        "setting": config.setting,
-        "seeds": list(config.seeds),
-        "ks": list(config.ks),
-        "gamma": config.gamma,
-        "conse_T": config.conse_T,
-        "shots_min": config.shots_min,
-        "shots_max": config.shots_max,
-        "train": vars(config.train).copy(),
-        "dem_train": vars(config.dem_train).copy(),
-    }
+    return {**asdict(config), "splits": [f"{a}/{b}" for a, b in config.splits]}
 
 
 def zsl_cells(
@@ -366,7 +347,7 @@ def _rank_test_set(
     bundle: ZslBundle, test_feats: np.ndarray, unseen_attrs: AttributeMatrix
 ) -> list[list[str]]:
     if bundle.method == "conse":
-        probs = bundle.classifier.output.apply_batch(test_feats)
+        probs = bundle.classifier.probs(test_feats)
     else:
         probs = [None] * len(test_feats)
     return [

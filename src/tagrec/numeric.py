@@ -1,10 +1,10 @@
-"""Dense math and small neural-network kernels.
+"""Dense math shared by the trainers and rankers: weight
+initialization, softmax, Adam, and a symmetric positive definite solve.
 
-Everything here works on plain float64 numpy arrays. Matrices are
-row-major 2-D arrays; a "dense layer" is a weight matrix of shape
-(out, in) plus a bias vector of length out. All routines are
-deterministic given their inputs (and the RNG passed in), which the
-training code relies on for reproducibility.
+Everything here works on plain float64 numpy arrays; a weight matrix
+has shape (out, in). All routines are deterministic given their inputs
+(and the RNG passed in), which the training code relies on for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
-ACTIVATIONS = ("tanh", "softmax")
+# Adam's decay rates for the first and second moments, and the
+# denominator's guard against division by zero
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,40 +44,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "softmax":
-        return softmax(x)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-@dataclass
-class DenseLayer:
-    """Fully connected layer: activation(weights @ x + bias)."""
-
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"bias length {self.bias.shape} does not match "
-                f"weight rows {self.weights.shape[0]}"
-            )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a single input vector of length `in`."""
-        return apply_activation(self.activation, self.weights @ x + self.bias)
-
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Apply to a batch of inputs, shape (batch, in) -> (batch, out)."""
-        return apply_activation(self.activation, xs @ self.weights.T + self.bias)
-
-
 @dataclass
 class AdamState:
     """Moment estimates for a list of parameter arrays."""
@@ -82,9 +52,6 @@ class AdamState:
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], learning_rate: float = 0.001) -> "AdamState":
@@ -108,7 +75,7 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NumericalError("non-finite gradient in adam_step")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_m, new_v, new_params = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m = b1 * m + (1 - b1) * g
@@ -117,17 +84,8 @@ def adam_step(
         v_hat = v / (1 - b2**t)
         new_m.append(m)
         new_v.append(v)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-    new_state = AdamState(
-        first_moment=new_m,
-        second_moment=new_v,
-        step_count=t,
-        learning_rate=state.learning_rate,
-        beta1=b1,
-        beta2=b2,
-        epsilon=state.epsilon,
-    )
-    return new_params, new_state
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
+    return new_params, AdamState(new_m, new_v, step_count=t, learning_rate=state.learning_rate)
 
 
 def train_minibatch(

@@ -21,7 +21,7 @@ from .errors import DataError, read_json, write_json
 from .ingest import Dataset
 # adam_step is not called here; the name stays because perfbench's tracer
 # tests check that it is wrapped in every module that imports it
-from .numeric import DenseLayer, adam_step, softmax, train_minibatch, xavier_uniform  # noqa: F401
+from .numeric import adam_step, softmax, train_minibatch, xavier_uniform  # noqa: F401
 
 # probabilities are floored here before the log, so an exact zero for
 # the true class gives a large finite loss instead of inf
@@ -45,8 +45,10 @@ class TrainSpec:
 
 @dataclass
 class BaselineClassifier:
-    hidden: DenseLayer  # (hidden_units, d), tanh
-    output: DenseLayer  # (n_labels, hidden_units), softmax
+    hidden_weights: np.ndarray  # (hidden_units, d)
+    hidden_bias: np.ndarray  # (hidden_units,)
+    output_weights: np.ndarray  # (n_labels, hidden_units)
+    output_bias: np.ndarray  # (n_labels,)
     label_order: list[str]
     vocab: Vocabulary
     emb: np.ndarray  # (V, d) word vectors
@@ -54,7 +56,17 @@ class BaselineClassifier:
 
     @property
     def feature_dim(self) -> int:
-        return self.hidden.weights.shape[0]
+        return self.hidden_weights.shape[0]
+
+    def features(self, pooled: np.ndarray) -> np.ndarray:
+        """The hidden layer's tanh activations for one pooled embedding
+        (d,) or a batch of them (m, d)."""
+        return np.tanh(pooled @ self.hidden_weights.T + self.hidden_bias)
+
+    def probs(self, features: np.ndarray) -> np.ndarray:
+        """The softmax over label_order for one feature vector or a
+        batch of them."""
+        return softmax(features @ self.output_weights.T + self.output_bias)
 
 
 def pooled_features(token_lists, vocab: Vocabulary, emb: np.ndarray) -> np.ndarray:
@@ -112,10 +124,8 @@ def train_baseline(
         ],
         batch_loss_and_grads, m, spec, rng, "baseline",
     )
-    Wh, bh, Wo, bo = params
     return BaselineClassifier(
-        hidden=DenseLayer(weights=Wh, bias=bh, activation="tanh"),
-        output=DenseLayer(weights=Wo, bias=bo, activation="softmax"),
+        *params,
         label_order=label_order,
         vocab=vocab,
         emb=emb,
@@ -126,12 +136,11 @@ def train_baseline(
 def extract_features(model: BaselineClassifier, tokens) -> np.ndarray:
     """The hidden layer's tanh activations for one tweet: the semantic
     feature vector used by every ranking method."""
-    return model.hidden.apply(mean_pool(tokens, model.vocab, model.emb))
+    return model.features(mean_pool(tokens, model.vocab, model.emb))
 
 
 def extract_features_batch(model: BaselineClassifier, token_lists) -> np.ndarray:
-    X = pooled_features(token_lists, model.vocab, model.emb)
-    return model.hidden.apply_batch(X)
+    return model.features(pooled_features(token_lists, model.vocab, model.emb))
 
 
 def file_sha256(path) -> str:
@@ -142,20 +151,16 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _layer_to_json(layer: DenseLayer) -> dict:
-    return {
-        "weights": layer.weights.tolist(),
-        "bias": layer.bias.tolist(),
-        "activation": layer.activation,
-    }
+def _layer_to_json(weights: np.ndarray, bias: np.ndarray, activation: str) -> dict:
+    return {"weights": weights.tolist(), "bias": bias.tolist(), "activation": activation}
 
 
-def _layer_from_json(obj: dict) -> DenseLayer:
-    return DenseLayer(
-        weights=np.array(obj["weights"], dtype=float),
-        bias=np.array(obj["bias"], dtype=float),
-        activation=obj["activation"],
-    )
+def _layer_from_json(name: str, obj: dict, activation: str) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's weights and bias; its activation must be the one the
+    classifier applies there."""
+    if obj["activation"] != activation:
+        raise ValueError(f"{name} activation is {obj['activation']!r}, expected {activation!r}")
+    return np.array(obj["weights"], dtype=float), np.array(obj["bias"], dtype=float)
 
 
 def baseline_bundle_dict(
@@ -168,8 +173,8 @@ def baseline_bundle_dict(
         "label_order": model.label_order,
         "feature_dim": model.feature_dim,
         "embedding": {"path": str(embedding_path), "sha256": file_sha256(embedding_path)},
-        "hidden": _layer_to_json(model.hidden),
-        "output": _layer_to_json(model.output),
+        "hidden": _layer_to_json(model.hidden_weights, model.hidden_bias, "tanh"),
+        "output": _layer_to_json(model.output_weights, model.output_bias, "softmax"),
         "loss_history": model.loss_history,
         "config": config or {},
     }
@@ -208,7 +213,8 @@ def expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
 
 
 def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassifier:
-    hidden, output = _layer_from_json(obj["hidden"]), _layer_from_json(obj["output"])
+    Wh, bh = _layer_from_json("hidden", obj["hidden"], "tanh")
+    Wo, bo = _layer_from_json("output", obj["output"], "softmax")
     label_order = list(obj["label_order"])
     emb_path = obj["embedding"]["path"]
     if not os.path.isabs(emb_path):
@@ -221,11 +227,13 @@ def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassif
             f"embedding file {emb_path!r} hash {actual} does not match bundle"
         )
     vocab, emb = load_embeddings(emb_path)
-    expect_shape("hidden weights", hidden.weights, (len(hidden.bias), emb.shape[1]))
-    expect_shape("output weights", output.weights, (len(label_order), len(hidden.bias)))
+    p, n = len(Wh), len(label_order)
+    expect_shape("hidden weights", Wh, (p, emb.shape[1]))
+    expect_shape("hidden bias", bh, (p,))
+    expect_shape("output weights", Wo, (n, p))
+    expect_shape("output bias", bo, (n,))
     return BaselineClassifier(
-        hidden=hidden,
-        output=output,
+        Wh, bh, Wo, bo,
         label_order=label_order,
         vocab=vocab,
         emb=emb,

@@ -29,7 +29,6 @@ class SyntheticCorpus:
     dataset: Dataset
     vocab: Vocabulary
     emb: np.ndarray  # (V, d) word vectors
-    centroids: dict[str, np.ndarray]
 
 
 def _vocabulary_from(tokens_with_counts, vectors) -> tuple[Vocabulary, np.ndarray]:
@@ -101,7 +100,6 @@ def _token_world(
         dataset=Dataset(examples=examples, label_set=labels),
         vocab=vocab,
         emb=emb,
-        centroids=centroids,
     )
 
 

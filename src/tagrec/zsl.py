@@ -32,7 +32,7 @@ import numpy as np
 
 from .embedding import NORM_MAX, NORM_MIN, Vocabulary, cosine
 from .errors import DataError, NotPositiveDefiniteError, NumericalError, write_json
-from .ingest import Dataset
+from .ingest import Dataset, is_str_list
 # adam_step is not called here; the name stays because perfbench's tracer
 # tests check that it is wrapped in every module that imports it
 from .numeric import adam_step, relu, train_minibatch, xavier_uniform  # noqa: F401
@@ -427,7 +427,7 @@ def rank_features(
     probabilities, computed from x unless the caller has them."""
     if bundle.method == "conse":
         if probs is None:
-            probs = bundle.classifier.output.apply(x)
+            probs = bundle.classifier.probs(x)
         return conse_rank(conse_embed(probs, bundle.head.seen_embeddings, bundle.head.T), attrs)
     if bundle.method == "eszsl":
         return eszsl_rank(bundle.head, x, attrs)
@@ -533,11 +533,10 @@ def load_zsl_bundle(path) -> ZslBundle:
         classifier = baseline_from_bundle_dict(obj["classifier"], base_dir=base_dir)
         split = None
         if obj.get("split"):
-            split = ZslSplit(
-                seen=list(obj["split"]["seen"]),
-                unseen=list(obj["split"]["unseen"]),
-                seed=int(obj["split"]["seed"]),
-            )
+            seen, unseen = obj["split"]["seen"], obj["split"]["unseen"]
+            if not (is_str_list(seen) and is_str_list(unseen)):
+                raise ValueError("split seen and unseen must be lists of labels")
+            split = ZslSplit(seen=seen, unseen=unseen, seed=int(obj["split"]["seed"]))
         return ZslBundle(
             method=obj["method"],
             classifier=classifier,

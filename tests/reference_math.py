@@ -17,6 +17,7 @@ import numpy as np
 
 from tagrec.embedding import Vocabulary, _pair_positions
 from tagrec.errors import DataError
+from tagrec.numeric import softmax
 from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
 
@@ -241,7 +242,7 @@ def ranked_reference(labels, scores) -> list[str]:
 def predict_proba(model: BaselineClassifier, tokens) -> np.ndarray:
     """Probability vector over model.label_order; the exact softmax of
     the output layer applied to the extracted feature."""
-    return model.output.apply(extract_features(model, tokens))
+    return softmax(model.output_weights @ extract_features(model, tokens) + model.output_bias)
 
 
 def label_embedding(hashtag: str, vocab: Vocabulary, emb: np.ndarray) -> np.ndarray:

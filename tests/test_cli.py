@@ -697,6 +697,11 @@ def _head(obj, **fields):
     return {**obj, "head": {**obj["head"], **fields}}
 
 
+def _classifier(obj, layer, **fields):
+    classifier = obj["classifier"]
+    return {**obj, "classifier": {**classifier, layer: {**classifier[layer], **fields}}}
+
+
 def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
@@ -714,11 +719,14 @@ BAD_BUNDLES = [
     ("eszsl", "W-columns", lambda obj: _head(obj, W=_drop_last(obj["head"]["W"]))),
     ("dem", "weights", lambda obj: _head(obj, weights=_drop_last(obj["head"]["weights"]))),
     ("dem", "bias", lambda obj: _head(obj, bias=obj["head"]["bias"][:-1])),
-    ("dem", "classifier-output", lambda obj: {**obj, "classifier": {
-        **obj["classifier"],
-        "output": {**obj["classifier"]["output"],
-                   "weights": _drop_last(obj["classifier"]["output"]["weights"])},
-    }}),
+    ("dem", "classifier-output", lambda obj: _classifier(
+        obj, "output", weights=_drop_last(obj["classifier"]["output"]["weights"]))),
+    ("conse", "hidden-activation", lambda obj: _classifier(obj, "hidden", activation="softmax")),
+    ("eszsl", "output-activation", lambda obj: _classifier(obj, "output", activation="tanh")),
+    ("dem", "hidden-bias", lambda obj: _classifier(
+        obj, "hidden", bias=obj["classifier"]["hidden"]["bias"][:-1])),
+    ("eszsl", "split-ints", lambda obj: {
+        **obj, "split": {**obj["split"], "unseen": list(range(len(obj["split"]["unseen"])))}}),
 ]
 
 

@@ -9,9 +9,7 @@ from hypothesis.extra.numpy import arrays
 from tagrec.errors import NotPositiveDefiniteError, NumericalError
 from tagrec.numeric import (
     AdamState,
-    DenseLayer,
     adam_step,
-    apply_activation,
     relu,
     softmax,
     spd_solve,
@@ -48,7 +46,7 @@ class TestXavierUniform:
 
 class TestActivations:
     def test_fixed_points(self):
-        assert apply_activation("tanh", np.array(0.0)) == 0.0
+        assert np.tanh(np.array(0.0)) == 0.0
         assert relu(np.array(-2.0)) == 0.0
         assert relu(np.array(3.0)) == 3.0
 
@@ -75,34 +73,13 @@ class TestActivations:
     @given(arrays(np.float64, st.integers(1, 16), elements=finite_floats))
     def test_tanh_and_relu_ranges(self, x):
         # float64 tanh saturates to exactly 1.0 around |x| ~ 19
-        assert np.all(np.abs(apply_activation("tanh", x)) <= 1.0)
-        assert np.all(np.abs(apply_activation("tanh", np.clip(x, -15, 15))) < 1.0)
+        assert np.all(np.abs(np.tanh(x)) <= 1.0)
+        assert np.all(np.abs(np.tanh(np.clip(x, -15, 15))) < 1.0)
         assert np.all(relu(x) >= 0.0)
 
     def test_softmax_batch_rows_sum_to_one(self, rng):
         logits = rng.standard_normal((5, 7))
         np.testing.assert_allclose(softmax(logits).sum(axis=1), np.ones(5))
-
-
-class TestDenseLayer:
-    def test_batch_matches_single(self, rng):
-        layer = DenseLayer(
-            weights=rng.standard_normal((4, 6)),
-            bias=rng.standard_normal(4),
-            activation="tanh",
-        )
-        xs = rng.standard_normal((9, 6))
-        batch = layer.apply_batch(xs)
-        for i in range(9):
-            np.testing.assert_allclose(batch[i], layer.apply(xs[i]))
-
-    def test_rejects_mismatched_bias(self, rng):
-        with pytest.raises(ValueError):
-            DenseLayer(weights=rng.standard_normal((4, 6)), bias=np.zeros(5), activation="tanh")
-
-    def test_rejects_unknown_activation(self, rng):
-        with pytest.raises(ValueError):
-            DenseLayer(weights=np.eye(2), bias=np.zeros(2), activation="gelu")
 
 
 class TestCrossEntropy:

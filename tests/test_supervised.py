@@ -3,6 +3,7 @@ feature extraction, and the JSON model bundle."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ import pytest
 from tagrec.embedding import save_embeddings
 from tagrec.errors import DataError
 from tagrec.ingest import Dataset
-from tagrec.numeric import DenseLayer
 from tagrec.supervised import (
-    BaselineClassifier,
     TrainSpec,
     extract_features,
     extract_features_batch,
@@ -85,8 +84,8 @@ class TestTrainBaseline:
         spec = TrainSpec(epochs=3, batch_size=32, seed=5, hidden_units=32)
         a = train_baseline(separable.dataset, separable.vocab, separable.emb, spec)
         b = train_baseline(separable.dataset, separable.vocab, separable.emb, spec)
-        assert np.array_equal(a.hidden.weights, b.hidden.weights)
-        assert np.array_equal(a.output.weights, b.output.weights)
+        assert np.array_equal(a.hidden_weights, b.hidden_weights)
+        assert np.array_equal(a.output_weights, b.output_weights)
         assert a.loss_history == b.loss_history
 
     def test_seed_matters(self, separable):
@@ -94,7 +93,7 @@ class TestTrainBaseline:
         spec_b = TrainSpec(epochs=2, seed=1, hidden_units=32)
         a = train_baseline(separable.dataset, separable.vocab, separable.emb, spec_a)
         b = train_baseline(separable.dataset, separable.vocab, separable.emb, spec_b)
-        assert not np.array_equal(a.hidden.weights, b.hidden.weights)
+        assert not np.array_equal(a.hidden_weights, b.hidden_weights)
 
     def test_learns_separable_data(self, trained, separable):
         assert _accuracy(trained, separable.dataset) >= 0.95
@@ -108,7 +107,7 @@ class TestTrainBaseline:
 
     def test_feature_dim_property(self, trained):
         assert trained.feature_dim == 64
-        assert trained.hidden.weights.shape[0] == 64
+        assert trained.hidden_weights.shape[0] == 64
 
 
 class TestPredictProba:
@@ -120,28 +119,25 @@ class TestPredictProba:
     def test_recomposes_from_extract_features(self, trained):
         tokens = ["s2_03", "s2_04"]
         feats = extract_features(trained, tokens)
-        assert np.array_equal(predict_proba(trained, tokens), trained.output.apply(feats))
+        assert np.array_equal(predict_proba(trained, tokens), trained.probs(feats))
 
     def test_matches_manual_forward_pass(self, trained, separable):
         tokens = separable.dataset.examples[0][0]
         x = pooled_features([tokens], separable.vocab, separable.emb)[0]
-        h = np.tanh(trained.hidden.weights @ x + trained.hidden.bias)
-        logits = trained.output.weights @ h + trained.output.bias
+        h = np.tanh(trained.hidden_weights @ x + trained.hidden_bias)
+        # one text's feature is the matrix-vector product, bit for bit:
+        # recommend's scores depend on it
+        assert np.array_equal(extract_features(trained, tokens), h)
+        logits = trained.output_weights @ h + trained.output_bias
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
         assert predict_proba(trained, tokens) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_output_layer_is_uniform(self, trained):
-        flat = BaselineClassifier(
-            hidden=trained.hidden,
-            output=DenseLayer(
-                weights=np.zeros_like(trained.output.weights),
-                bias=np.zeros_like(trained.output.bias),
-                activation="softmax",
-            ),
-            label_order=trained.label_order,
-            vocab=trained.vocab,
-            emb=trained.emb,
+        flat = replace(
+            trained,
+            output_weights=np.zeros_like(trained.output_weights),
+            output_bias=np.zeros_like(trained.output_bias),
         )
         probs = predict_proba(flat, ["s0_00"])
         assert probs == pytest.approx([0.25] * 4, abs=1e-12)
@@ -178,16 +174,10 @@ class TestExtractFeatures:
         assert np.all(feats > -1.0) and np.all(feats < 1.0)
 
     def test_zero_weights_give_zero_features(self, trained):
-        flat = BaselineClassifier(
-            hidden=DenseLayer(
-                weights=np.zeros_like(trained.hidden.weights),
-                bias=np.zeros_like(trained.hidden.bias),
-                activation="tanh",
-            ),
-            output=trained.output,
-            label_order=trained.label_order,
-            vocab=trained.vocab,
-            emb=trained.emb,
+        flat = replace(
+            trained,
+            hidden_weights=np.zeros_like(trained.hidden_weights),
+            hidden_bias=np.zeros_like(trained.hidden_bias),
         )
         assert np.all(extract_features(flat, ["s0_00"]) == 0.0)
 
@@ -203,6 +193,18 @@ class TestExtractFeatures:
             assert row == pytest.approx(extract_features(trained, tokens), abs=1e-12)
 
 
+class TestBaselineClassifier:
+    def test_batch_matches_single(self, trained, rng):
+        # a batch goes through one matrix product, a row through a
+        # matrix-vector product: they agree up to the last bits
+        pooled = rng.standard_normal((9, trained.hidden_weights.shape[1]))
+        feats = trained.features(pooled)
+        probs = trained.probs(feats)
+        for i in range(9):
+            np.testing.assert_allclose(feats[i], trained.features(pooled[i]))
+            np.testing.assert_allclose(probs[i], trained.probs(feats[i]))
+
+
 # each corruption of a saved bundle: (name, edit of its bytes or its JSON)
 BAD_BUNDLES = [
     ("truncated", lambda raw: raw[: len(raw) // 3]),
@@ -215,6 +217,12 @@ BAD_BUNDLES = [
         "bias": obj["output"]["bias"][:-1]}}),
     ("ragged", lambda obj: {**obj, "hidden": {
         **obj["hidden"], "weights": [[1.0]] + obj["hidden"]["weights"][1:]}}),
+    ("hidden-bias", lambda obj: {**obj, "hidden": {
+        **obj["hidden"], "bias": obj["hidden"]["bias"][:-1]}}),
+    ("output-bias", lambda obj: {**obj, "output": {
+        **obj["output"], "bias": obj["output"]["bias"][:1]}}),
+    ("hidden-activation", lambda obj: {**obj, "hidden": {**obj["hidden"], "activation": "softmax"}}),
+    ("output-activation", lambda obj: {**obj, "output": {**obj["output"], "activation": "tanh"}}),
 ]
 
 
@@ -231,9 +239,10 @@ class TestBundle:
             trained, separable.vocab, separable.emb, tmp_path, {"epochs": 50}
         )
         back = load_baseline_bundle(bundle_path)
-        assert np.array_equal(back.hidden.weights, trained.hidden.weights)
-        assert np.array_equal(back.hidden.bias, trained.hidden.bias)
-        assert np.array_equal(back.output.weights, trained.output.weights)
+        assert np.array_equal(back.hidden_weights, trained.hidden_weights)
+        assert np.array_equal(back.hidden_bias, trained.hidden_bias)
+        assert np.array_equal(back.output_weights, trained.output_weights)
+        assert np.array_equal(back.output_bias, trained.output_bias)
         assert back.label_order == trained.label_order
         assert back.loss_history == trained.loss_history
         assert back.vocab.tokens == separable.vocab.tokens

@@ -755,7 +755,7 @@ class TestZslBundleIO:
         path = tmp_path / "eszsl.json"
         save_zsl_bundle(bundle, path, str(emb_path))
         back = load_zsl_bundle(path)
-        assert np.array_equal(back.classifier.hidden.weights, clf.hidden.weights)
+        assert np.array_equal(back.classifier.hidden_weights, clf.hidden_weights)
         assert np.array_equal(back.head.W, bundle.head.W)
         tokens = corpus.dataset.examples[2][0]
         assert np.array_equal(
