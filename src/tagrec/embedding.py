@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, NumericalError, not_text
 
@@ -149,11 +148,14 @@ def _sgns_update(
     contexts: np.ndarray,
     negatives: np.ndarray,
     steps: np.ndarray,
+    expit,
 ) -> None:
     """One SGD update for a run of pairs: every pair's gradient is taken
     at the tables as they stand on entry, scaled by its own step size,
     and the steps are added to the tables in pair order. einsum keeps
-    the sums out of BLAS, so they do not depend on its thread count."""
+    the sums out of BLAS, so they do not depend on its thread count.
+    expit is scipy.special.expit, passed in so that importing this
+    module does not load SciPy."""
     ids = np.concatenate((contexts[:, None], negatives), axis=1)
     v = inp[centers]
     u = out[ids]
@@ -189,6 +191,8 @@ def train_sgns(
     single fixed draw of negatives, so the curve tracks parameter
     movement rather than sampling noise.
     """
+    from scipy.special import expit
+
     rng = np.random.default_rng(config.seed)
     V, d = len(vocab), config.dim
     inp = (rng.random((V, d)) - 0.5) / d
@@ -240,7 +244,7 @@ def train_sgns(
             processed += len(centers)
             for s in range(0, len(centers), MAX_UPDATE_PAIRS):
                 sl = slice(s, s + MAX_UPDATE_PAIRS)
-                _sgns_update(inp, out, centers[sl], contexts[sl], negatives[sl], steps[sl])
+                _sgns_update(inp, out, centers[sl], contexts[sl], negatives[sl], steps[sl], expit)
         mean_loss = _eval_pair_loss(inp, out, eval_centers, eval_contexts, eval_negatives)
         if not np.isfinite(mean_loss):
             raise NumericalError(
@@ -265,11 +269,13 @@ def save_embeddings(vectors: np.ndarray, vocab: Vocabulary, path) -> None:
 def load_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
     """Stream a word2vec text file back into a vocabulary and its (V, d)
     word vectors. Counts are not part of the format, so every loaded
-    token gets frequency 1.
+    token gets frequency 1. Values must be ASCII decimal numerals, inf
+    or nan, as float() spells them; numpy's reader parses them all in
+    one call, rounding as float() does.
 
     A row takes at least 2 * d + 2 bytes (a token, d one-character
     values, d spaces and a newline, less one for the last row), so the
-    file's size bounds the rows it can hold, and no more are allocated
+    file's size bounds the rows it can hold, and no more are read
     whatever the header declares.
     """
     try:
@@ -287,28 +293,47 @@ def load_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
                     f"{path}:1: header {header!r} needs rows >= 0 and dimension >= 1"
                 )
             body_bytes = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
-            vectors = np.empty((min(n_rows, (body_bytes + 1) // (2 * dim + 2)), dim))
+            max_rows = min(n_rows, (body_bytes + 1) // (2 * dim + 2))
             tokens: list[str] = []
             index: dict[str, int] = {}
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.rstrip("\n").split(" ")
-                if len(tokens) >= n_rows:
-                    raise DataError(f"{path}:{lineno}: more rows than header declares")
-                if len(fields) != dim + 1:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}"
-                    )
-                token = fields[0]
-                if not token:
-                    raise DataError(f"{path}:{lineno}: empty token")
-                if token in index:
-                    raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+
+            def values():
+                # the value part of each row, after the row's checks;
+                # row i is line i + 2, and loadtxt pulls one row at a time
+                for lineno, line in enumerate(fh, start=2):
+                    line = line.rstrip("\n")
+                    if len(tokens) >= n_rows:
+                        raise DataError(f"{path}:{lineno}: more rows than header declares")
+                    if line.count(" ") != dim:
+                        raise DataError(
+                            f"{path}:{lineno}: expected {dim} values, got {line.count(' ')}"
+                        )
+                    token, _, rest = line.partition(" ")
+                    if not token:
+                        raise DataError(f"{path}:{lineno}: empty token")
+                    if token in index:
+                        raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+                    if not rest:  # loadtxt would skip an empty line
+                        raise DataError(f"{path}:{lineno}: non-numeric field")
+                    index[token] = len(tokens)
+                    tokens.append(token)
+                    yield rest
+
+            rows = values()
+            vectors = np.empty((0, dim))
+            if max_rows:  # loadtxt warns on input with no rows
                 try:
-                    vectors[len(tokens)] = [float(f) for f in fields[1:]]
+                    vectors = np.loadtxt(
+                        rows, dtype=np.float64, delimiter=" ", comments=None,
+                        quotechar=None, ndmin=2, max_rows=max_rows,
+                    )
+                except UnicodeDecodeError:  # a ValueError, handled below
+                    raise
                 except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric field") from exc
-                index[token] = len(tokens)
-                tokens.append(token)
+                    raise DataError(f"{path}:{len(tokens) + 1}: non-numeric field") from exc
+            # a row past the size bound has an empty value
+            if next(rows, None) is not None:
+                raise DataError(f"{path}:{len(tokens) + 1}: non-numeric field")
     except UnicodeDecodeError as exc:
         raise not_text(path, exc) from exc
     if len(tokens) != n_rows:

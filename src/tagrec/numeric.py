@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError, NumericalError
 
@@ -125,7 +124,11 @@ def train_minibatch(
 
 def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A @ X = B for symmetric positive definite A via Cholesky
-    factorization (never forms the explicit inverse)."""
+    factorization (never forms the explicit inverse). SciPy is imported
+    here, not at module level, so that commands that never solve do not
+    load it."""
+    from scipy.linalg import cho_factor, cho_solve
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

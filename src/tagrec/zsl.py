@@ -284,21 +284,37 @@ def dem_fit(
     return DemModel(weights=params[0], bias=params[1], loss_history=loss_history)
 
 
+def _distinct_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, inverse): the index of the first of each distinct column
+    of A in order of first occurrence, and each column's slot in firsts.
+    Columns are equal when their bytes are, after adding 0.0 turns -0.0
+    into 0.0."""
+    columns = np.add(A.T, 0.0, order="C")
+    bits = columns.view(np.uint64)
+    n, row_bytes = bits.shape[0], bits.shape[1] * bits.itemsize
+    # a stable sort of the columns' bytes puts equal columns next to each
+    # other, the earliest first; equal columns have equal sums of their
+    # bits, so only neighbours with equal sums are compared in full
+    order = np.argsort(columns.view(np.dtype((np.void, row_bytes))).ravel(), kind="stable")
+    sums = bits.sum(axis=1)[order]
+    maybe = np.flatnonzero(sums[1:] == sums[:-1])
+    starts = np.ones(n, dtype=bool)
+    starts[maybe + 1] = (bits[order[maybe]] != bits[order[maybe + 1]]).any(axis=1)
+    # each column's earliest equal column
+    first = np.empty(n, dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = first == np.arange(n)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first]
+
+
 def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by ascending Euclidean distance between x and each
     mapped attribute vector; score is the negated distance."""
     # BLAS does not promise equal rounding for equal columns of one
-    # product, so identical columns are collapsed first (keyed by their
-    # bytes; adding 0.0 turns -0.0 into 0.0) and every distinct column is
-    # mapped once, in one GEMM: exact ties stay exact
+    # product, so identical columns are collapsed first and every
+    # distinct column is mapped once, in one GEMM: exact ties stay exact
     A = unseen_attrs.matrix
-    slots: dict[bytes, int] = {}
-    firsts, inverse = [], []
-    for j, column in enumerate(np.add(A.T, 0.0, order="C")):
-        slot = slots.setdefault(column.tobytes(), len(slots))
-        if slot == len(firsts):
-            firsts.append(j)
-        inverse.append(slot)
+    firsts, inverse = _distinct_columns(A)
     # one row per distinct column, updated in place: relu(W a + b) - x
     diff = A[:, firsts].T @ model.weights.T
     diff += model.bias

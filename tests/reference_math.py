@@ -4,19 +4,23 @@ objective with its analytic gradient, whose minimizer is the closed
 form tagrec.zsl.eszsl_fit computes, a plain-loop skip-gram trainer
 with the update rule of tagrec.embedding.train_sgns, plain-loop
 scores of the three zero-shot rankers, one candidate column at a time,
+DEM's grouping of identical candidate columns (distinct_columns_reference),
 the baseline's label probabilities for one tweet (predict_proba), one
 hashtag's attribute vector (label_embedding), the skip-gram pairs of
-a sentence as a list (skipgram_pairs), and a corpus with two
-interchangeable tokens for embedding checks (make_synonym_corpus)."""
+a sentence as a list (skipgram_pairs), a corpus with two
+interchangeable tokens for embedding checks (make_synonym_corpus), and
+a word2vec text reader that converts one value at a time with float()
+(load_embeddings_reference)."""
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from tagrec.embedding import Vocabulary, _pair_positions
-from tagrec.errors import DataError
+from tagrec.errors import DataError, not_text
 from tagrec.numeric import softmax
 from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
@@ -234,6 +238,19 @@ def dem_scores_reference(W, b, x, A) -> list[float]:
     return scores
 
 
+def distinct_columns_reference(A) -> tuple[list[int], list[int]]:
+    """(firsts, inverse) of tagrec.zsl._distinct_columns by a dict of
+    each column's bytes, -0.0 counted as 0.0."""
+    slots: dict[bytes, int] = {}
+    firsts, inverse = [], []
+    for j, column in enumerate(np.add(A.T, 0.0, order="C")):
+        slot = slots.setdefault(column.tobytes(), len(slots))
+        if slot == len(firsts):
+            firsts.append(j)
+        inverse.append(slot)
+    return firsts, inverse
+
+
 def ranked_reference(labels, scores) -> list[str]:
     """Labels by descending score, ties in label order."""
     return [labels[i] for i in sorted(range(len(labels)), key=lambda i: (-scores[i], i))]
@@ -289,3 +306,52 @@ def make_synonym_corpus(
         sentence.insert(int(rng.integers(0, 4)), "gamma")
         sentences.append(sentence)
     return sentences, ("alpha", "beta"), ["gamma"] + ctx_b
+
+
+def load_embeddings_reference(path) -> tuple[Vocabulary, np.ndarray]:
+    """tagrec.embedding.load_embeddings with each value parsed by float(),
+    row by row, into a table sized by the same bound: the same checks,
+    messages and line numbers. float() also takes underscored numerals
+    and non-ASCII digits, which load_embeddings rejects."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            parts = header.split()
+            if len(parts) != 2:
+                raise DataError(f"{path}:1: malformed header {header!r}")
+            try:
+                n_rows, dim = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise DataError(f"{path}:1: non-numeric header {header!r}") from exc
+            if n_rows < 0 or dim < 1:
+                raise DataError(
+                    f"{path}:1: header {header!r} needs rows >= 0 and dimension >= 1"
+                )
+            body_bytes = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+            vectors = np.empty((min(n_rows, (body_bytes + 1) // (2 * dim + 2)), dim))
+            tokens: list[str] = []
+            index: dict[str, int] = {}
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split(" ")
+                if len(tokens) >= n_rows:
+                    raise DataError(f"{path}:{lineno}: more rows than header declares")
+                if len(fields) != dim + 1:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}"
+                    )
+                token = fields[0]
+                if not token:
+                    raise DataError(f"{path}:{lineno}: empty token")
+                if token in index:
+                    raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+                try:
+                    vectors[len(tokens)] = [float(f) for f in fields[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-numeric field") from exc
+                index[token] = len(tokens)
+                tokens.append(token)
+    except UnicodeDecodeError as exc:
+        raise not_text(path, exc) from exc
+    if len(tokens) != n_rows:
+        raise DataError(f"{path}:1: header declares {n_rows} rows, found {len(tokens)}")
+    return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors

@@ -480,6 +480,18 @@ class TestTrainBaselineCommand:
         )
         assert code == 2 and f"data error: {vectors}:2: not UTF-8" in err
 
+    def test_underscored_embedding_value_is_a_data_error(self, capsys, tmp_path, world):
+        # float() reads "1_0" as 10.0; the word2vec reader takes plain
+        # ASCII decimals only
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\nok 0.5 0.25\ntok 1_0 0.25\n", encoding="ascii")
+        flags = list(world.data_flags)
+        flags[flags.index("--embeddings") + 1] = str(vectors)
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
+        )
+        assert code == 2 and f"data error: {vectors}:3: non-numeric field" in err
+
     @pytest.mark.parametrize(
         "header", ["-5 3", "100000000000000 3", "1 0"], ids=["negative", "huge", "zero-dim"]
     )
@@ -761,6 +773,30 @@ class TestBadBundles:
         for path in saved_bundles.values():
             code, _, _ = run_cli(["recommend", "--bundle", str(path), "--text", "hi"], capsys)
             assert code == 0
+
+
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded once `code` has run in a fresh Python."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\n{report}", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportPath:
+    """Only SGNS training and the ESZSL solve use SciPy; importing it
+    costs a fresh process about 0.3 s."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_modules_after("import tagrec.cli") == []
+
+    def test_recommend_loads_no_scipy(self, saved_bundles):
+        code = "from tagrec.cli import main\nassert main(sys.argv[1:]) == 0"
+        argv = ["recommend", "--bundle", str(saved_bundles["dem"]), "--text", "hi", "--k", "2"]
+        assert _scipy_modules_after(code, *argv) == []
 
 
 class TestUndecodableInput:

@@ -2,14 +2,24 @@
 trainer, the word2vec text IO, and the pooling/cosine utilities."""
 
 import math
+import struct
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_math import label_embedding, make_synonym_corpus, sgns_reference, skipgram_pairs
+from reference_math import (
+    label_embedding,
+    load_embeddings_reference,
+    make_synonym_corpus,
+    sgns_reference,
+    skipgram_pairs,
+)
 from tagrec.embedding import (
     MAX_UPDATE_PAIRS,
     SgnsConfig,
@@ -322,7 +332,12 @@ class TestEmbeddingIO:
             ("garbage\n", "malformed header"),
             ("x y\n", "non-numeric header"),
             ("1 3\ntok 0.5 0.5\n", "expected 3 values"),
-            ("1 2\ntok 0.5 nope\n", "non-numeric field"),
+            ("1 2\ntok 0.5 nope\n", r"bad\.txt:2: non-numeric field"),
+            # after a good row, so the row maps to its own line
+            ("2 2\ntok 1 2\nbad 3 x\n", r"bad\.txt:3: non-numeric field"),
+            ("1 1\ntok \n", r"bad\.txt:2: non-numeric field"),
+            # a row past the bound the file's size sets has an empty value
+            ("2 2\na 1 2\nb  ", r"bad\.txt:3: non-numeric field"),
             ("2 2\ntok 1 2\ntok 3 4\n", "duplicate token"),
             ("1 2\ntok 1 2\nextra 3 4\n", "more rows"),
             ("3 2\ntok 1 2\n", "found 1"),
@@ -347,6 +362,67 @@ class TestEmbeddingIO:
         vocab, vectors = load_embeddings(path)
         assert vocab.tokens == ["a", "b"]
         assert np.array_equal(vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_without_rows_loads_without_warnings(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vocab, vectors = load_embeddings(path)
+        assert vocab.tokens == [] and vectors.shape == (0, 5)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_values_float_alone_accepts_are_rejected(self, tmp_path, value):
+        path = tmp_path / "loose.txt"
+        path.write_text(f"2 2\nok 1 2\ntok 0.5 {value}\n", encoding="utf-8")
+        assert load_embeddings_reference(path)[1][1, 1] == float(value)
+        with pytest.raises(DataError, match=r"loose\.txt:3: non-numeric field"):
+            load_embeddings(path)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 2**64 - 1).map(
+                            lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+                        ).filter(lambda x: not math.isnan(x)),
+                        st.sampled_from(
+                            [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.225073858507201e-308,
+                             2.2250738585072014e-308, 1.7976931348623157e308, 1e-320, 1e300]
+                        ),
+                    ),
+                    min_size=d,
+                    max_size=d,
+                ),
+                max_size=6,
+            ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), d))
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["#tag", '"quoted"', "it's", "café", "naïve", "日本語", "#π", "1e5"]),
+                st.text(
+                    st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n\r"),
+                    min_size=1,
+                    max_size=8,
+                ),
+            ),
+            min_size=6,
+            max_size=6,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_keeps_every_bit(self, vectors, tokens):
+        vocab = Vocabulary(tokens=tokens[: len(vectors)], counts=[1] * len(vectors), index={})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vectors.txt"
+            save_embeddings(vectors, vocab, path)
+            loaded_vocab, loaded = load_embeddings(path)
+            reference_vocab, reference = load_embeddings_reference(path)
+        assert loaded_vocab.tokens == reference_vocab.tokens == vocab.tokens
+        assert loaded.shape == reference.shape == vectors.shape
+        assert loaded.tobytes() == vectors.tobytes() == reference.tobytes()
 
     def test_load_holds_no_second_table(self, tmp_path, rng):
         vocab = build_vocab([[f"w{i}" for i in range(4000)]])

@@ -45,6 +45,7 @@ from tagrec.zsl import (
 from reference_math import (
     conse_scores_reference,
     dem_scores_reference,
+    distinct_columns_reference,
     eszsl_objective,
     eszsl_objective_grad,
     eszsl_scores_reference,
@@ -424,6 +425,28 @@ _MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-
 
 
 class TestRankersAtScale:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 401])
+    def test_distinct_columns_match_the_loop(self, n, order):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((5, n))
+        for group in _tie_groups(n):
+            A[:, group] = A[:, [group[0]]]
+        if n > 2:
+            # -0.0 and 0.0 are one column; a NaN equals only its own bytes
+            A[:, 1] = A[:, n - 2] = A[:, 2]
+            A[0, 1], A[0, n - 2] = -0.0, 0.0
+            A[1, 2] = np.nan
+        if n > 3:
+            # the bits of column 0 with its last two swapped: an equal sum
+            A[:, 3] = A[:, 0]
+            A[-2:, 3] = A[:-3:-1, 0]
+        A = np.asarray(A, order=order)
+        firsts, inverse = zsl._distinct_columns(A)
+        want_firsts, want_inverse = distinct_columns_reference(A)
+        assert firsts.tolist() == want_firsts
+        assert inverse.tolist() == want_inverse
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 401])
     @pytest.mark.parametrize("method", ["conse", "eszsl", "dem"])
