@@ -332,7 +332,8 @@ class TestEmbeddingIO:
             ("garbage\n", "malformed header"),
             ("x y\n", "non-numeric header"),
             ("1 3\ntok 0.5 0.5\n", "expected 3 values"),
-            ("1 2\ntok 0.5 nope\n", r"bad\.txt:2: non-numeric field"),
+            ("1 2\ntok 0.5 nope\n", "non-numeric field"),
+            ("1 2\ntok nope 0.5\n", r"bad\.txt:2: non-numeric field"),
             # after a good row, so the row maps to its own line
             ("2 2\ntok 1 2\nbad 3 x\n", r"bad\.txt:3: non-numeric field"),
             ("1 1\ntok \n", r"bad\.txt:2: non-numeric field"),
