@@ -184,28 +184,45 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     obj = read_json(path, "utf-8")
     if not isinstance(obj, dict):
         raise DataError(f"config file {path}: expected an object keyed by command")
     return obj
 
 
+def _check_config_value(path: str, command: str, o: Option, value) -> None:
+    """A config-file value of an int or float option must be a JSON
+    integer or number that is not a bool, or null where the option's
+    default is None; other options' values are not checked here."""
+    if o.type not in (int, float):
+        return
+    accepted = (int,) if o.type is int else (int, float)
+    if value is None:
+        ok = o.default is None
+    else:
+        ok = isinstance(value, accepted) and not isinstance(value, bool)
+    if not ok:
+        kind = "an integer" if o.type is int else "a number"
+        raise DataError(f"{path}: {command}.{o.dest} must be {kind}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
     command = args.command
-    section = _load_config_file(args.config).get(command, {})
+    path = args.config if args.config is not None else os.environ.get(CONFIG_ENV_VAR) or None
+    section = {} if path is None else _load_config_file(path).get(command, {})
     if not isinstance(section, dict):
-        raise DataError(f"config section {command!r} must be an object")
+        raise DataError(f"{path}: config section {command!r} must be an object")
     resolved = {}
     for o in COMMANDS[command][1]:
         value = getattr(args, o.dest)
         if value is None:
-            value = section.get(o.dest, o.default)
+            if o.dest in section:
+                value = section[o.dest]
+                _check_config_value(path, command, o, value)
+            else:
+                value = o.default
         if o.required and value is None:
             raise UsageError(f"{o.flags[0]} is required for {command}")
         resolved[o.dest] = value

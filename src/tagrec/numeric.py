@@ -2,8 +2,10 @@
 initialization, softmax, Adam, and a symmetric positive definite solve.
 
 Everything here works on plain float64 numpy arrays; a weight matrix
-has shape (out, in). All routines are deterministic given their inputs
-(and the RNG passed in), which the training code relies on for
+has shape (out, in). adam_step, and so train_minibatch, update the
+parameter arrays they are given in place; every other routine returns
+new arrays. All routines are deterministic given their inputs (and the
+RNG passed in), which the training code relies on for
 reproducibility.
 """
 
@@ -20,6 +22,10 @@ from .errors import NotPositiveDefiniteError, NumericalError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# elements adam_step updates per block, so that its scratch blocks and
+# the block's slices of params, grads and moments stay in cache (of
+# 4,096 to 65,536, 16,384 was fastest at the grid cell's shapes)
+ADAM_CHUNK = 16384
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,30 +67,70 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Returns new parameter arrays and
-    the advanced state; inputs are not mutated."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads must have the same length")
-    for p, g in zip(params, grads):
+def _check_updatable(kind: str, i: int, a: np.ndarray) -> None:
+    flags = a.flags
+    if a.dtype != np.float64 or not flags.c_contiguous or not flags.writeable:
+        layout = "C-contiguous" if flags.c_contiguous else "not C-contiguous"
+        raise ValueError(
+            f"adam_step updates arrays in place and needs writeable C-contiguous float64 ones; "
+            f"{kind} {i} is {a.dtype} of shape {a.shape}, {layout}"
+            + ("" if flags.writeable else ", read-only")
+        )
+
+
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update, in place: writes the new values
+    into each param array and into state.first_moment and
+    state.second_moment, then advances state.step_count. grads are only
+    read. Every check runs before the first write, so a rejected step
+    (mismatched lengths or shapes, a non-finite gradient, a param or
+    moment that is not a writeable C-contiguous float64 array) changes
+    nothing.
+
+    The arrays are walked in blocks of ADAM_CHUNK elements through two
+    scratch blocks, so no temporary the size of a param is made. Each
+    element goes through the same IEEE operations in the same order as
+    p - lr * (m / c1) / (sqrt(v / c2) + eps), with c1 = 1 - b1**t and
+    c2 = 1 - b2**t, so the result is bit-identical to that expression."""
+    ms, vs = state.first_moment, state.second_moment
+    if not len(params) == len(grads) == len(ms) == len(vs):
+        raise ValueError("params, grads and both moments must have the same length")
+    for i, (p, g, m, v) in enumerate(zip(params, grads, ms, vs)):
+        _check_updatable("param", i, p)
+        _check_updatable("first moment", i, m)
+        _check_updatable("second moment", i, v)
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+        if p.shape != m.shape or p.shape != v.shape:
+            raise ValueError(f"shape mismatch: param {p.shape} vs moments {m.shape}, {v.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalError("non-finite gradient in adam_step")
     t = state.step_count + 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_m, new_v, new_params = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_m.append(m)
-        new_v.append(v)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
-    return new_params, AdamState(new_m, new_v, step_count=t, learning_rate=state.learning_rate)
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
+    c1, c2 = 1 - b1**t, 1 - b2**t
+    scratch, denom = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    for p, g, m, v in zip(params, grads, ms, vs):
+        # the contiguity check makes every reshape of p, m and v a view
+        p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+        for lo in range(0, p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, d = scratch[: hi - lo], denom[: hi - lo]
+            mc *= b1
+            np.multiply(gc, 1 - b1, out=s)
+            mc += s
+            vc *= b2
+            np.multiply(gc, 1 - b2, out=s)
+            s *= gc
+            vc += s
+            np.divide(vc, c2, out=d)
+            np.sqrt(d, out=d)
+            d += ADAM_EPSILON
+            np.divide(mc, c1, out=s)
+            s *= lr
+            s /= d
+            pc -= s
+    state.step_count = t
 
 
 def train_minibatch(
@@ -98,11 +144,10 @@ def train_minibatch(
     """Minibatch Adam over m examples: spec.epochs epochs, each visiting
     the examples in a fresh rng permutation in batches of
     spec.batch_size. batch_loss_and_grads(params, idx) returns the loss
-    summed over the batch idx and the gradients of its mean. Returns the
-    trained params and each epoch's mean loss; an epoch whose mean loss
-    is not finite raises NumericalError. Each step's params are dropped
-    once the next exist; a caller that passes the initial params without
-    keeping a reference lets them go after the first step."""
+    summed over the batch idx and the gradients of its mean. Trains the
+    given arrays in place, one adam_step per batch, and returns them
+    with each epoch's mean loss; an epoch whose mean loss is not finite
+    raises NumericalError."""
     state = AdamState.for_params(params, learning_rate=spec.learning_rate)
     loss_history: list[float] = []
     for epoch in range(spec.epochs):
@@ -111,7 +156,7 @@ def train_minibatch(
         for start in range(0, m, spec.batch_size):
             loss, grads = batch_loss_and_grads(params, order[start : start + spec.batch_size])
             total += loss
-            params, state = adam_step(params, grads, state)
+            adam_step(params, grads, state)
         mean_loss = total / m
         if not np.isfinite(mean_loss):
             raise NumericalError(

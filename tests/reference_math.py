@@ -10,7 +10,9 @@ hashtag's attribute vector (label_embedding), the skip-gram pairs of
 a sentence as a list (skipgram_pairs), a corpus with two
 interchangeable tokens for embedding checks (make_synonym_corpus), and
 a word2vec text reader that converts one value at a time with float()
-(load_embeddings_reference)."""
+(load_embeddings_reference), and the Adam step that allocates fresh
+arrays, which tagrec.numeric.adam_step must match bit for bit in place
+(adam_step_reference)."""
 
 import math
 import os
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tagrec.embedding import Vocabulary, _pair_positions
-from tagrec.errors import DataError, not_text
-from tagrec.numeric import softmax
+from tagrec.errors import DataError, NumericalError, not_text
+from tagrec.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, softmax
 from tagrec.supervised import CROSS_ENTROPY_FLOOR, BaselineClassifier, extract_features
 
 
@@ -355,3 +357,29 @@ def load_embeddings_reference(path) -> tuple[Vocabulary, np.ndarray]:
     if len(tokens) != n_rows:
         raise DataError(f"{path}:1: header declares {n_rows} rows, found {len(tokens)}")
     return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
+
+
+def adam_step_reference(
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
+) -> tuple[list[np.ndarray], AdamState]:
+    """One bias-corrected Adam update. Returns new parameter arrays and
+    the advanced state; inputs are not mutated."""
+    if len(params) != len(grads):
+        raise ValueError("params and grads must have the same length")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("non-finite gradient in adam_step")
+    t = state.step_count + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    new_m, new_v, new_params = [], [], []
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        new_m.append(m)
+        new_v.append(v)
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
+    return new_params, AdamState(new_m, new_v, step_count=t, learning_rate=state.learning_rate)

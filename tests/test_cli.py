@@ -166,13 +166,40 @@ class TestConfigResolution:
         )
         assert code == 2 and "expected an object" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dim", "5"), ("dim", True), ("dim", 1.5), ("dim", [1]), ("lr", None)],
+        ids=["dim-string", "dim-bool", "dim-float", "dim-list", "lr-null"],
+    )
+    def test_value_of_the_wrong_type_is_a_data_error(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train-embeddings": {key: value}}), encoding="ascii")
+        code, _, err = run_cli(
+            ["--config", str(cfg), "train-embeddings",
+             "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "emb.txt")],
+            capsys,
+        )
+        assert code == 2
+        assert f"data error: {cfg}: train-embeddings.{key} must be" in err
+
+    def test_integer_for_a_float_and_null_for_an_unset_default_are_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps({"train-embeddings": {"lr": 1, "subsample": None, "dim": 7}}), encoding="ascii"
+        )
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfg), "train-embeddings", "--corpus", "c.txt", "--out", "e.txt"]
+        )
+        resolved = cli.resolve_config(args)
+        assert (resolved["lr"], resolved["subsample"], resolved["dim"]) == (1, None, 7)
+
     def test_section_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"ingest": 5}), encoding="ascii")
         code, _, err = run_cli(
             ["--config", str(cfg)] + ingest_argv(tmp_path), capsys
         )
-        assert code == 2 and "must be an object" in err
+        assert code == 2 and f"{cfg}: config section 'ingest' must be an object" in err
 
 
 class TestIngestCommand:

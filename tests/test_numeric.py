@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from tagrec.errors import NotPositiveDefiniteError, NumericalError
 from tagrec.numeric import (
+    ADAM_CHUNK,
     AdamState,
     adam_step,
     relu,
@@ -16,7 +17,7 @@ from tagrec.numeric import (
     xavier_uniform,
 )
 
-from reference_math import GradCheckReport, cross_entropy, grad_check
+from reference_math import GradCheckReport, adam_step_reference, cross_entropy, grad_check
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -106,36 +107,53 @@ class TestCrossEntropy:
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self, rng):
         p = rng.standard_normal((3, 4))
+        p0 = p.copy()
         g = np.full((3, 4), 7.3)
         state = AdamState.for_params([p], learning_rate=0.001)
-        [new_p], _ = adam_step([p], [g], state)
-        np.testing.assert_allclose(np.abs(new_p - p), 0.001, rtol=1e-5)
-        assert np.all(np.sign(p - new_p) == np.sign(g))
+        adam_step([p], [g], state)
+        np.testing.assert_allclose(np.abs(p - p0), 0.001, rtol=1e-5)
+        assert np.all(np.sign(p0 - p) == np.sign(g))
 
     def test_zero_gradient_is_identity(self, rng):
         p = rng.standard_normal(5)
         params, state = [p.copy()], AdamState.for_params([p])
         for _ in range(10):
-            params, state = adam_step(params, [np.zeros(5)], state)
+            adam_step(params, [np.zeros(5)], state)
         np.testing.assert_array_equal(params[0], p)
         assert state.step_count == 10
 
     def test_deterministic(self, rng):
         p = rng.standard_normal(6)
         g = rng.standard_normal(6)
-        a, _ = adam_step([p], [g], AdamState.for_params([p]))
-        b, _ = adam_step([p], [g], AdamState.for_params([p]))
-        np.testing.assert_array_equal(a[0], b[0])
+        a, b = p.copy(), p.copy()
+        adam_step([a], [g], AdamState.for_params([a]))
+        adam_step([b], [g], AdamState.for_params([b]))
+        np.testing.assert_array_equal(a, b)
 
-    def test_inputs_not_mutated(self, rng):
+    def test_updates_params_and_moments_in_place(self, rng):
         p = rng.standard_normal(4)
         g = rng.standard_normal(4)
         p0, g0 = p.copy(), g.copy()
         state = AdamState.for_params([p])
         adam_step([p], [g], state)
-        np.testing.assert_array_equal(p, p0)
         np.testing.assert_array_equal(g, g0)
-        assert state.step_count == 0
+        [want_p], want = adam_step_reference([p0], [g0], AdamState.for_params([p0]))
+        np.testing.assert_array_equal(p, want_p)
+        np.testing.assert_array_equal(state.first_moment[0], want.first_moment[0])
+        np.testing.assert_array_equal(state.second_moment[0], want.second_moment[0])
+        assert state.step_count == 1
+
+        q = rng.standard_normal((2, 3))
+        params, state = [p, q], AdamState.for_params([p, q])
+        adam_step(params, [g, np.ones((2, 3))], state)
+        before = [a.copy() for a in params + state.first_moment + state.second_moment]
+        bad = np.ones((2, 3))
+        bad[1, 2] = np.nan
+        with pytest.raises(NumericalError):
+            adam_step(params, [g, bad], state)
+        for a, b in zip(params + state.first_moment + state.second_moment, before):
+            np.testing.assert_array_equal(a, b)
+        assert state.step_count == 1
 
     def test_nonfinite_gradient_rejected(self, rng):
         p = rng.standard_normal(3)
@@ -143,14 +161,73 @@ class TestAdam:
         with pytest.raises(NumericalError):
             adam_step([p], [g], AdamState.for_params([p]))
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda rng: rng.standard_normal((3, 4)).T, r"float64 of shape \(4, 3\), not C-contiguous"),
+            (lambda rng: np.arange(4, dtype=np.int64), r"int64 of shape \(4,\), C-contiguous"),
+        ],
+        ids=["transposed-view", "int64"],
+    )
+    def test_param_the_update_would_miss_is_rejected(self, rng, make, match):
+        p = make(rng)
+        p0 = p.copy()
+        state = AdamState.for_params([p])
+        with pytest.raises(ValueError, match=match):
+            adam_step([p], [np.ones(p.shape)], state)
+        np.testing.assert_array_equal(p, p0)
+        assert state.step_count == 0
+
     def test_converges_on_quadratic(self, rng):
         target = rng.standard_normal(8)
         params = [np.zeros(8)]
         state = AdamState.for_params(params, learning_rate=0.05)
         for _ in range(2000):
             grad = params[0] - target
-            params, state = adam_step(params, [grad], state)
+            adam_step(params, [grad], state)
         np.testing.assert_allclose(params[0], target, atol=1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.sampled_from(
+                [(0,), (1,), (ADAM_CHUNK - 1,), (ADAM_CHUNK,), (ADAM_CHUNK + 1,), (1024, 150), (8, 1024), (3, 0)]
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        learning_rate=st.floats(min_value=1e-4, max_value=0.1),
+        steps=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        specials=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1.7e308]),
+            max_size=12,
+        ),
+    )
+    def test_bit_identical_to_the_allocating_step(self, shapes, learning_rate, steps, seed, specials):
+        """The in-place chunked step gives the same bits as the reference
+        that builds fresh arrays, on sizes around ADAM_CHUNK's boundaries
+        and gradients holding signed zeros, subnormals and huge values."""
+        rng = np.random.default_rng(seed)
+        params = [rng.standard_normal(shape) for shape in shapes]
+        ref_params = [p.copy() for p in params]
+        state = AdamState.for_params(params, learning_rate=learning_rate)
+        ref_state = AdamState.for_params(ref_params, learning_rate=learning_rate)
+        for _ in range(steps):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3) for shape in shapes]
+            for value in specials:
+                g = grads[rng.integers(len(grads))].reshape(-1)
+                if g.size:
+                    g[rng.integers(g.size)] = value
+            with np.errstate(over="ignore", invalid="ignore"):
+                adam_step(params, grads, state)
+                ref_params, ref_state = adam_step_reference(ref_params, grads, ref_state)
+        assert state.step_count == ref_state.step_count == steps
+        for got, want in zip(
+            params + state.first_moment + state.second_moment,
+            ref_params + ref_state.first_moment + ref_state.second_moment,
+        ):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpdSolve:
