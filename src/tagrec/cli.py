@@ -23,7 +23,15 @@ import os
 import sys
 from typing import NamedTuple
 
-from .embedding import SgnsConfig, build_vocab, load_embeddings, save_embeddings, train_sgns
+from .embedding import (
+    SgnsConfig,
+    build_vocab,
+    file_sha256,
+    load_embeddings,
+    save_embeddings,
+    train_sgns,
+    write_twin,
+)
 from .errors import DataError, NumericalError, UsageError, not_text, read_json, write_json
 from .evaluate import (
     SupervisedExperimentConfig,
@@ -58,7 +66,9 @@ CONFIG_ENV_VAR = "TAGREC_CONFIG"
 class Option(NamedTuple):
     """One option of a subcommand. `default` applies when neither the
     command line nor the config file gives a value; `required` options
-    must end up with one from either."""
+    must end up with one from either. A list option (`items` set) takes
+    a comma-separated string, or in the config file also a list of
+    `items`."""
 
     flags: tuple[str, ...]
     dest: str
@@ -67,11 +77,14 @@ class Option(NamedTuple):
     default: object
     required: bool
     help: str | None
+    items: type | None
 
 
-def _opt(*flags, type=str, choices=None, default=None, required=False, help=None) -> Option:
+def _opt(
+    *flags, type=str, choices=None, default=None, required=False, help=None, items=None
+) -> Option:
     dest = flags[0].removeprefix("--").replace("-", "_")
-    return Option(flags, dest, type, choices, default, required, help)
+    return Option(flags, dest, type, choices, default, required, help, items)
 
 
 _CATALOG = [
@@ -92,11 +105,12 @@ _TRAIN = [
 ]
 _GRID = [
     *_DATASET,
-    _opt("--splits", default="40/10,30/20,25/25",
+    _opt("--splits", default="40/10,30/20,25/25", items=str,
          help="comma-separated seen/unseen sizes, e.g. 40/10,30/20"),
-    _opt("--methods", default="conse,eszsl,dem", help="comma-separated subset of conse,eszsl,dem"),
-    _opt("--seeds", default="0,1,2,3,4", help="comma-separated seeds"),
-    _opt("--ks", default="1,2,5", help="comma-separated hit@K cutoffs"),
+    _opt("--methods", default="conse,eszsl,dem", items=str,
+         help="comma-separated subset of conse,eszsl,dem"),
+    _opt("--seeds", default="0,1,2,3,4", items=int, help="comma-separated seeds"),
+    _opt("--ks", default="1,2,5", items=int, help="comma-separated hit@K cutoffs"),
     _opt("--gamma", type=float, default=1.0, help="bilinear-model regularization strength"),
     _opt("--conse-t", type=int, help="labels combined per prediction"),
     *_TRAIN,
@@ -159,7 +173,7 @@ COMMANDS: dict[str, tuple[str, list[Option]]] = {
         _opt("--bundle", required=True, help="ranker bundle from zsl/fsl --save-bundle"),
         _opt("--text", required=True, help="the text to tag"),
         _opt("--k", type=int, default=5),
-        _opt("--candidates", help="comma-separated candidate labels"),
+        _opt("--candidates", items=str, help="comma-separated candidate labels"),
         _STOPWORDS,
     ]),
 }
@@ -191,19 +205,37 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
+# a JSON value's description, alone and in a list
+_KINDS = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _is(value, kind: type) -> bool:
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
 def _check_config_value(path: str, command: str, o: Option, value) -> None:
-    """A config-file value of an int or float option must be a JSON
-    integer or number that is not a bool, or null where the option's
-    default is None; other options' values are not checked here."""
-    if o.type not in (int, float):
-        return
-    accepted = (int,) if o.type is int else (int, float)
+    """A config-file value must be a JSON value of its option's type (a
+    string, an integer, or any number for a float option, never a bool),
+    or a list of `items` for a list option, and one of the option's
+    choices where it has them; null is taken only where the option's
+    default is None."""
     if value is None:
         ok = o.default is None
+    elif o.items is not None and isinstance(value, list):
+        ok = all(_is(item, o.items) for item in value)
     else:
-        ok = isinstance(value, accepted) and not isinstance(value, bool)
+        ok = _is(value, o.type) and (o.choices is None or value in o.choices)
     if not ok:
-        kind = "an integer" if o.type is int else "a number"
+        kind = _KINDS[o.type][0]
+        if o.items is not None:
+            kind += f" or a list of {_KINDS[o.items][1]}"
+        if o.choices is not None:
+            kind = "one of " + ", ".join(o.choices)
         raise DataError(f"{path}: {command}.{o.dest} must be {kind}, got {value!r}")
 
 
@@ -230,19 +262,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def parse_pair_list(value) -> list[tuple[int, int]]:
-    items = value.split(",") if isinstance(value, str) else list(value)
+    items = value.split(",") if isinstance(value, str) else value
     pairs = []
     for item in items:
-        if isinstance(item, str):
-            parts = item.strip().split("/")
-            if len(parts) != 2:
-                raise UsageError(f"expected seen/unseen pair, got {item!r}")
-            item = parts
         try:
-            a, b = int(item[0]), int(item[1])
-        except (ValueError, IndexError) as exc:
+            a, b = item.strip().split("/")
+            pairs.append((int(a), int(b)))
+        except ValueError as exc:
             raise UsageError(f"expected seen/unseen pair, got {item!r}") from exc
-        pairs.append((a, b))
     if not pairs:
         raise UsageError("at least one split is required")
     return pairs
@@ -353,6 +380,7 @@ def cmd_train_embeddings(cfg: dict) -> int:
     )
     vectors, losses = train_sgns(sentences, vocab, config)
     save_embeddings(vectors, vocab, cfg["out"])
+    write_twin(cfg["out"], vocab, vectors, file_sha256(cfg["out"]))
     print(
         json.dumps(
             {
@@ -379,9 +407,11 @@ def _train_spec(cfg: dict, seed: int = 0) -> TrainSpec:
 
 def cmd_train_baseline(cfg: dict) -> int:
     dataset = _load_dataset(cfg)
-    vocab, emb = load_embeddings(cfg["embeddings"])
+    digest = file_sha256(cfg["embeddings"])
+    vocab, emb = load_embeddings(cfg["embeddings"], digest)
     model = train_baseline(dataset, vocab, emb, _train_spec(cfg, seed=cfg["seed"]))
-    save_baseline_bundle(model, cfg["out"], cfg["embeddings"], config=cfg)
+    save_baseline_bundle(model, cfg["out"], cfg["embeddings"], config=cfg, sha256=digest)
+    write_twin(cfg["embeddings"], vocab, emb, digest)
     print(
         json.dumps(
             {
@@ -431,7 +461,10 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
     ):
         raise UsageError("--save-bundle needs exactly one split, one method, and one seed")
     dataset = _load_dataset(cfg)
-    vocab, emb = load_embeddings(cfg["embeddings"])
+    # a command that writes a bundle naming the embedding file hashes it
+    # once, for the bundle, the loader and the twin
+    digest = file_sha256(cfg["embeddings"]) if cfg["save_bundle"] else None
+    vocab, emb = load_embeddings(cfg["embeddings"], digest)
     cells = []
     for cell, bundle in zsl_cells(dataset, vocab, emb, zconfig):
         cells.append(cell)
@@ -443,7 +476,8 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
     if cfg["out"]:
         write_json(cfg["out"], result)
     if cfg["save_bundle"]:
-        save_zsl_bundle(bundle, cfg["save_bundle"], cfg["embeddings"], config=cfg)
+        save_zsl_bundle(bundle, cfg["save_bundle"], cfg["embeddings"], config=cfg, sha256=digest)
+        write_twin(cfg["embeddings"], vocab, emb, digest)
     return 0
 
 

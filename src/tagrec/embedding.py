@@ -9,13 +9,20 @@ the sentence began, and their steps are added in pair order. No BLAS
 routine takes part in an update, so training is bit-deterministic
 given the seed, whatever the BLAS thread count. Embeddings are
 exchanged in the word2vec text format ("V d" header, then one
-"token v1 ... vd" row per word).
+"token v1 ... vd" row per word). The commands that write an artifact
+naming an embedding file also keep its binary twin (TWIN_SUFFIX), which
+load_embeddings reads instead of parsing the text while the twin
+records the text's sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import shutil
+import tempfile
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -266,10 +273,9 @@ def save_embeddings(vectors: np.ndarray, vocab: Vocabulary, path) -> None:
             fh.write(token + " " + " ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
-    """Stream a word2vec text file back into a vocabulary and its (V, d)
-    word vectors. Counts are not part of the format, so every loaded
-    token gets frequency 1. Values must be ASCII decimal numerals, inf
+def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
+    """Stream a word2vec text file into a vocabulary and its (V, d) word
+    vectors. Values must be ASCII decimal numerals, inf
     or nan, as float() spells them; numpy's reader parses them all in
     one call, rounding as float() does.
 
@@ -339,6 +345,103 @@ def load_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
     if len(tokens) != n_rows:
         raise DataError(f"{path}:1: header declares {n_rows} rows, found {len(tokens)}")
     return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
+
+
+# the twin of an embedding file E is E + TWIN_SUFFIX: three np.save
+# arrays back to back, E's sha256 as 64 ASCII bytes, the tokens joined
+# by newlines as UTF-8 bytes (a token holds no newline), and the (V, d)
+# float64 matrix
+TWIN_SUFFIX = ".twin.npy"
+
+
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _twin_digest(fh) -> str:
+    """The sha256 at the start of an open twin."""
+    stored = np.load(fh, allow_pickle=False)
+    if stored.dtype != np.uint8 or stored.shape != (64,):
+        raise ValueError("its first array is not a sha256")
+    return stored.tobytes().decode("ascii")
+
+
+def _read_twin(twin: str, digest: str) -> tuple[Vocabulary, np.ndarray] | None:
+    """The embedding a twin holds, or None when it records another
+    sha256 than digest; a twin that does not load or hold an embedding
+    raises a DataError naming it."""
+    try:
+        with open(twin, "rb") as fh:
+            if _twin_digest(fh) != digest:
+                return None
+            blob = np.load(fh, allow_pickle=False)
+            vectors = np.load(fh, allow_pickle=False)
+        if blob.dtype != np.uint8 or blob.ndim != 1:
+            raise ValueError("its second array is not a byte string")
+        tokens = blob.tobytes().decode("utf-8").split("\n") if blob.size else []
+        if vectors.dtype != np.float64 or vectors.ndim != 2 or len(vectors) != len(tokens):
+            raise ValueError(
+                f"its {vectors.dtype} matrix of shape {vectors.shape} is not "
+                f"{len(tokens)} rows of float64"
+            )
+        index = {token: i for i, token in enumerate(tokens)}
+        if len(index) != len(tokens):
+            raise ValueError("its tokens repeat")
+    except (EOFError, ValueError) as exc:
+        raise DataError(f"{twin}: damaged embedding twin ({exc}); delete it") from exc
+    return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
+
+
+def load_embeddings(path, digest: str | None = None) -> tuple[Vocabulary, np.ndarray]:
+    """A word2vec text file's vocabulary and (V, d) word vectors, read
+    from its twin when the twin records the file's sha256 and parsed
+    from the text otherwise. digest is the file's sha256 where the
+    caller has already checked it; the file is hashed only when a twin
+    exists and no digest is given. A twin that records the sha256 but
+    is damaged raises a DataError naming it. Counts are not part of
+    either format, so every loaded token gets frequency 1.
+    """
+    twin = f"{os.fspath(path)}{TWIN_SUFFIX}"
+    if os.path.exists(twin):
+        loaded = _read_twin(twin, digest or file_sha256(path))
+        if loaded is not None:
+            return loaded
+    return _parse_word2vec(path)
+
+
+def write_twin(path, vocab: Vocabulary, vectors: np.ndarray, digest: str) -> None:
+    """Write the twin of embedding file path, whose sha256 is digest and
+    which holds vocab and vectors, unless a twin recording digest exists.
+    The twin is written to a temporary file beside it and moved over it,
+    with the text's permissions; where that fails with an OSError no
+    twin is written, and the text alone serves."""
+    twin = f"{os.fspath(path)}{TWIN_SUFFIX}"
+    try:
+        with open(twin, "rb") as fh:
+            if _twin_digest(fh) == digest:
+                return
+    except (OSError, EOFError, ValueError):
+        pass
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(twin)), suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            for array in (
+                np.frombuffer(digest.encode("ascii"), dtype=np.uint8),
+                np.frombuffer("\n".join(vocab.tokens).encode("utf-8"), dtype=np.uint8),
+                np.asarray(vectors, dtype=np.float64),
+            ):
+                np.save(fh, array, allow_pickle=False)
+        shutil.copymode(path, tmp)
+        os.replace(tmp, twin)
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.remove(tmp)
 
 
 def mean_pool(tokens: Sequence[str], vocab: Vocabulary, vectors: np.ndarray) -> np.ndarray:

@@ -9,14 +9,13 @@ feature every ranking method consumes.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import Vocabulary, load_embeddings, mean_pool
+from .embedding import Vocabulary, file_sha256, load_embeddings, mean_pool
 from .errors import DataError, read_json, write_json
 from .ingest import Dataset
 # adam_step is not called here; the name stays because perfbench's tracer
@@ -143,14 +142,6 @@ def extract_features_batch(model: BaselineClassifier, token_lists) -> np.ndarray
     return model.features(pooled_features(token_lists, model.vocab, model.emb))
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _layer_to_json(weights: np.ndarray, bias: np.ndarray, activation: str) -> dict:
     return {"weights": weights.tolist(), "bias": bias.tolist(), "activation": activation}
 
@@ -164,15 +155,19 @@ def _layer_from_json(name: str, obj: dict, activation: str) -> tuple[np.ndarray,
 
 
 def baseline_bundle_dict(
-    model: BaselineClassifier, embedding_path: str, config: dict | None = None
+    model: BaselineClassifier,
+    embedding_path: str,
+    config: dict | None = None,
+    sha256: str | None = None,
 ) -> dict:
     """JSON-serializable bundle: label order, layer weights, and a
-    path-plus-hash reference to the embedding file."""
+    path-plus-hash reference to the embedding file. sha256 is the
+    file's hash where the caller already has it."""
     return {
         "kind": "baseline",
         "label_order": model.label_order,
         "feature_dim": model.feature_dim,
-        "embedding": {"path": str(embedding_path), "sha256": file_sha256(embedding_path)},
+        "embedding": {"path": str(embedding_path), "sha256": sha256 or file_sha256(embedding_path)},
         "hidden": _layer_to_json(model.hidden_weights, model.hidden_bias, "tanh"),
         "output": _layer_to_json(model.output_weights, model.output_bias, "softmax"),
         "loss_history": model.loss_history,
@@ -181,9 +176,13 @@ def baseline_bundle_dict(
 
 
 def save_baseline_bundle(
-    model: BaselineClassifier, path, embedding_path: str, config: dict | None = None
+    model: BaselineClassifier,
+    path,
+    embedding_path: str,
+    config: dict | None = None,
+    sha256: str | None = None,
 ) -> None:
-    write_json(path, baseline_bundle_dict(model, embedding_path, config))
+    write_json(path, baseline_bundle_dict(model, embedding_path, config, sha256))
 
 
 def read_bundle(path) -> dict:
@@ -226,7 +225,7 @@ def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassif
         raise DataError(
             f"embedding file {emb_path!r} hash {actual} does not match bundle"
         )
-    vocab, emb = load_embeddings(emb_path)
+    vocab, emb = load_embeddings(emb_path, actual)
     p, n = len(Wh), len(label_order)
     expect_shape("hidden weights", Wh, (p, emb.shape[1]))
     expect_shape("hidden bias", bh, (p,))

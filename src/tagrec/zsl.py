@@ -522,10 +522,15 @@ def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
 
 
 def save_zsl_bundle(
-    bundle: ZslBundle, path, embedding_path: str, config: dict | None = None
+    bundle: ZslBundle,
+    path,
+    embedding_path: str,
+    config: dict | None = None,
+    sha256: str | None = None,
 ) -> None:
     """The bundle as one JSON object; the classifier entry names the
-    embedding file by path and SHA-256, which the loader checks."""
+    embedding file by path and SHA-256 (sha256, where the caller already
+    has it), which the loader checks."""
     write_json(path, {
         "kind": "zsl",
         "method": bundle.method,
@@ -534,7 +539,7 @@ def save_zsl_bundle(
             if bundle.split
             else None
         ),
-        "classifier": baseline_bundle_dict(bundle.classifier, embedding_path),
+        "classifier": baseline_bundle_dict(bundle.classifier, embedding_path, sha256=sha256),
         "head": _head_to_json(bundle),
         "config": config or {},
     })

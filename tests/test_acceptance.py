@@ -491,6 +491,7 @@ def test_11_rerun_determinism(tmp_path, capsys, announce):
         "clean.report.json": tmp_path / "clean.report.json",
         "emb_corpus.txt": tmp_path / "emb_corpus.txt",
         "emb.txt": tmp_path / "emb.txt",
+        "emb.txt.twin.npy": tmp_path / "emb.txt.twin.npy",
         "baseline.json": tmp_path / "baseline.json",
         "zsl_results.json": tmp_path / "zsl_results.json",
         "zsl_bundle.json": tmp_path / "zsl_bundle.json",

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tagrec import cli, evaluate, zsl
+from tagrec import cli, embedding, evaluate, zsl
 from tagrec.cli import main
-from tagrec.embedding import load_embeddings, save_embeddings
+from tagrec.embedding import TWIN_SUFFIX, file_sha256, load_embeddings, save_embeddings
 from tagrec.errors import MalformedRecordError, NumericalError
 from tagrec.ingest import normalize_raw, parse_raw_record, read_raw_jsonl
 from tagrec.supervised import load_baseline_bundle
@@ -181,6 +181,33 @@ class TestConfigResolution:
         )
         assert code == 2
         assert f"data error: {cfg}: train-embeddings.{key} must be" in err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("zsl", "splits", 5), ("zsl", "methods", 5), ("zsl", "ks", [1, "x"]),
+         ("eval", "averaging", "bogus")],
+        ids=["splits-int", "methods-int", "ks-string-item", "averaging-choice"],
+    )
+    def test_str_list_and_choice_values_are_checked(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({command: {key: value}}), encoding="ascii")
+        code, _, err = run_cli(
+            ["--config", str(cfg), command, "--clean", "c.jsonl", "--embeddings", "e.txt"], capsys
+        )
+        assert code == 2
+        assert f"data error: {cfg}: {command}.{key} must be" in err
+
+    def test_lists_of_the_item_type_are_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"zsl": {
+            "splits": ["4/2", "3/3"], "methods": ["conse", "dem"], "seeds": [0, 1], "ks": [1, 2],
+        }}), encoding="ascii")
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfg), "zsl", "--clean", "c.jsonl", "--embeddings", "e.txt"]
+        )
+        grid = cli._grid_config(cli.resolve_config(args), "zsl")
+        assert (grid.splits, grid.methods, grid.seeds, grid.ks) == (
+            [(4, 2), (3, 3)], ("conse", "dem"), (0, 1), (1, 2))
 
     def test_integer_for_a_float_and_null_for_an_unset_default_are_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -726,6 +753,137 @@ class TestGridCommands:
             capsys,
         )
         assert code == 2 and "data error" in err
+
+
+def _own_embedding(tmp_path, world):
+    """The world's data flags with its embedding file copied alone into
+    a directory of its own."""
+    directory = tmp_path / "emb"
+    directory.mkdir()
+    path = directory / "emb.txt"
+    path.write_bytes(Path(world.embeddings).read_bytes())
+    flags = list(world.data_flags)
+    flags[flags.index("--embeddings") + 1] = str(path)
+    return path, flags
+
+
+def _refuse_text_parse(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"parsed the text of {path}")
+
+    monkeypatch.setattr(embedding, "_parse_word2vec", refuse)
+
+
+class TestEmbeddingTwin:
+    """A command that writes an artifact naming an embedding file keeps
+    its binary twin; a twin never changes a result."""
+
+    ARTIFACT_WRITERS = {
+        "train-baseline": ["train-baseline", "--epochs", "2", "--hidden", "8"],
+        "zsl": ["zsl", *FAST_GRID, "--methods", "dem"],
+        "fsl": ["fsl", *FAST_GRID, "--methods", "eszsl", "--shots", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARTIFACT_WRITERS))
+    def test_artifacts_are_the_same_with_the_twin(self, capsys, tmp_path, world, monkeypatch,
+                                                  command):
+        emb, flags = _own_embedding(tmp_path, world)
+        name, *options = self.ARTIFACT_WRITERS[command]
+        written = [tmp_path / "out.json"]
+        argv = [name, *flags, *options, "--out", str(written[0])]
+        if command != "train-baseline":
+            written.append(tmp_path / "bundle.json")
+            argv += ["--save-bundle", str(written[1])]
+        assert run_cli(argv, capsys)[0] == 0
+        twin_name = f"emb.txt{TWIN_SUFFIX}"
+        assert sorted(p.name for p in emb.parent.iterdir()) == ["emb.txt", twin_name]
+        first = [p.read_bytes() for p in written]
+        _refuse_text_parse(monkeypatch)
+        assert run_cli(argv, capsys)[0] == 0
+        assert [p.read_bytes() for p in written] == first
+
+    def test_train_embeddings_twin_holds_the_text(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("red apple sweet\ngreen pear caf\u00e9\n" * 4, encoding="utf-8")
+        out = tmp_path / "emb" / "emb.txt"
+        out.parent.mkdir()
+        argv = ["train-embeddings", "--corpus", str(corpus), "--out", str(out),
+                "--dim", "8", "--window", "2", "--epochs", "2"]
+        assert run_cli(argv, capsys)[0] == 0
+        twin = Path(f"{out}{TWIN_SUFFIX}")
+        text_vocab, text_vectors = embedding._parse_word2vec(out)
+        twin_vocab, twin_vectors = embedding._read_twin(str(twin), file_sha256(out))
+        assert twin_vocab.tokens == text_vocab.tokens
+        assert twin_vectors.tobytes() == text_vectors.tobytes()
+        first = twin.read_bytes()
+        assert run_cli(argv, capsys)[0] == 0
+        assert twin.read_bytes() == first
+
+    @pytest.mark.parametrize("with_twin", [False, True], ids=["no-twin", "twin"])
+    def test_read_only_commands_write_nothing(self, capsys, tmp_path, world, with_twin):
+        emb, flags = _own_embedding(tmp_path, world)
+        bundle = tmp_path / "bundle.json"
+        assert main(["zsl", *flags, *FAST_GRID, "--methods", "conse",
+                     "--save-bundle", str(bundle)]) == 0
+        twin = Path(f"{emb}{TWIN_SUFFIX}")
+        if not with_twin:
+            twin.unlink()
+        listing = sorted((p.name, p.stat().st_mtime_ns) for p in emb.parent.iterdir())
+        for argv in (
+            ["recommend", "--bundle", str(bundle), "--text", "hello world", "--k", "2"],
+            ["eval", *flags, "--folds", "2", "--epochs", "1", "--hidden", "8"],
+            ["zsl", *flags, *FAST_GRID, "--methods", "conse"],
+        ):
+            assert main(argv) == 0
+            assert sorted((p.name, p.stat().st_mtime_ns) for p in emb.parent.iterdir()) == listing
+        capsys.readouterr()
+
+    def test_rankings_are_the_same_with_the_twin(self, capsys, tmp_path, world):
+        emb, flags = _own_embedding(tmp_path, world)
+        bundle = tmp_path / "bundle.json"
+        assert main(["zsl", *flags, *FAST_GRID, "--methods", "dem",
+                     "--save-bundle", str(bundle)]) == 0
+        capsys.readouterr()
+        argv = ["recommend", "--bundle", str(bundle), "--text", " ".join(
+            world.corpus.dataset.examples[0][0]), "--k", "6",
+            "--candidates", ",".join(sorted(world.corpus.dataset.label_set))]
+        with_twin = run_cli(argv, capsys)
+        Path(f"{emb}{TWIN_SUFFIX}").unlink()
+        assert run_cli(argv, capsys) == with_twin
+
+    @pytest.mark.parametrize("damage", ["truncated", "float32", "rows"])
+    def test_damaged_twin_exits_2_naming_it(self, capsys, tmp_path, world, damage):
+        emb, flags = _own_embedding(tmp_path, world)
+        train = ["train-baseline", *flags, "--out", str(tmp_path / "b.json"),
+                 "--epochs", "1", "--hidden", "4"]
+        assert run_cli(train, capsys)[0] == 0
+        twin = Path(f"{emb}{TWIN_SUFFIX}")
+        if damage == "truncated":
+            twin.write_bytes(twin.read_bytes()[: twin.stat().st_size // 2])
+        else:
+            vocab, vectors = load_embeddings(emb)
+            with open(twin, "wb") as fh:
+                np.save(fh, np.frombuffer(file_sha256(emb).encode("ascii"), dtype=np.uint8))
+                np.save(fh, np.frombuffer("\n".join(vocab.tokens).encode("utf-8"), dtype=np.uint8))
+                np.save(fh, vectors.astype(np.float32) if damage == "float32" else vectors[1:])
+        code, _, err = run_cli(train, capsys)
+        assert code == 2
+        assert f"data error: {twin}: damaged embedding twin" in err and "delete it" in err
+
+    def test_failed_replace_still_succeeds_without_a_twin(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("red apple sweet fruit\ngreen pear tart fruit\n", encoding="ascii")
+        out = tmp_path / "emb" / "emb.txt"
+        out.parent.mkdir()
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, _ = run_cli(["train-embeddings", "--corpus", str(corpus), "--out", str(out),
+                              "--dim", "4", "--window", "2", "--epochs", "1"], capsys)
+        assert code == 0
+        assert [p.name for p in out.parent.iterdir()] == ["emb.txt"]
 
 
 def _drop_last(rows):

@@ -20,17 +20,21 @@ from reference_math import (
     sgns_reference,
     skipgram_pairs,
 )
+from tagrec import embedding
 from tagrec.embedding import (
     MAX_UPDATE_PAIRS,
+    TWIN_SUFFIX,
     SgnsConfig,
     Vocabulary,
     build_vocab,
     cosine,
+    file_sha256,
     load_embeddings,
     mean_pool,
     noise_distribution,
     save_embeddings,
     train_sgns,
+    write_twin,
 )
 from tagrec.errors import DataError
 
@@ -421,9 +425,11 @@ class TestEmbeddingIO:
             save_embeddings(vectors, vocab, path)
             loaded_vocab, loaded = load_embeddings(path)
             reference_vocab, reference = load_embeddings_reference(path)
-        assert loaded_vocab.tokens == reference_vocab.tokens == vocab.tokens
-        assert loaded.shape == reference.shape == vectors.shape
-        assert loaded.tobytes() == vectors.tobytes() == reference.tobytes()
+            write_twin(path, loaded_vocab, loaded, file_sha256(path))
+            twin_vocab, twin = embedding._read_twin(f"{path}{TWIN_SUFFIX}", file_sha256(path))
+        assert loaded_vocab.tokens == reference_vocab.tokens == vocab.tokens == twin_vocab.tokens
+        assert loaded.shape == reference.shape == vectors.shape == twin.shape
+        assert loaded.tobytes() == vectors.tobytes() == reference.tobytes() == twin.tobytes()
 
     def test_load_holds_no_second_table(self, tmp_path, rng):
         vocab = build_vocab([[f"w{i}" for i in range(4000)]])
@@ -443,6 +449,131 @@ class TestEmbeddingIO:
         path.write_bytes("2 1\nok 0.5\ncaf\u00e9 0.25\n".encode("latin-1"))
         with pytest.raises(DataError, match=r"latin1\.txt:3: not UTF-8"):
             load_embeddings(path)
+
+
+def _no_text_parse(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"parsed the text of {path}")
+
+    monkeypatch.setattr(embedding, "_parse_word2vec", refuse)
+
+
+def _save_with_twin(vectors, vocab, path):
+    """Save an embedding as text, then write its twin from the text."""
+    save_embeddings(vectors, vocab, path)
+    write_twin(path, *load_embeddings(path), file_sha256(path))
+    return Path(f"{path}{TWIN_SUFFIX}")
+
+
+class TestTwin:
+    @pytest.mark.parametrize(
+        "tokens",
+        [["alpha", "#tag", "beta"], ["café", "日本語", "nul\x00", "\x00"], []],
+        ids=["ascii", "non-ascii-and-nul", "no-rows"],
+    )
+    def test_twin_and_text_load_the_same_bits(self, tmp_path, rng, monkeypatch, tokens):
+        vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens), index={})
+        vectors = rng.standard_normal((len(tokens), 4))
+        path = tmp_path / "vectors.txt"
+        twin = _save_with_twin(vectors, vocab, path)
+        assert twin.exists()
+        text_vocab, text_vectors = embedding._parse_word2vec(path)
+        _no_text_parse(monkeypatch)
+        twin_vocab, twin_vectors = load_embeddings(path)
+        assert twin_vocab.tokens == text_vocab.tokens == tokens
+        assert twin_vocab.index == text_vocab.index
+        assert twin_vocab.counts == [1] * len(tokens)
+        assert twin_vectors.shape == text_vectors.shape == (len(tokens), 4)
+        assert twin_vectors.tobytes() == text_vectors.tobytes() == vectors.tobytes()
+
+    def test_a_caller_checked_digest_skips_the_hash(self, tmp_path, rng, monkeypatch):
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vectors.txt"
+        _save_with_twin(rng.standard_normal((2, 3)), vocab, path)
+        digest = file_sha256(path)
+        monkeypatch.setattr(embedding, "file_sha256", lambda p: pytest.fail("hashed again"))
+        _no_text_parse(monkeypatch)
+        assert load_embeddings(path, digest)[0].tokens == ["a", "b"]
+
+    def test_a_file_without_a_twin_is_not_hashed(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "vectors.txt"
+        save_embeddings(rng.standard_normal((2, 3)), build_vocab([["a", "b"]]), path)
+        monkeypatch.setattr(embedding, "file_sha256", lambda p: pytest.fail("hashed"))
+        assert load_embeddings(path)[0].tokens == ["a", "b"]
+
+    def test_stale_twin_is_ignored_and_then_replaced(self, tmp_path, rng):
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vectors.txt"
+        twin = _save_with_twin(rng.standard_normal((2, 3)), vocab, path)
+        stale = twin.read_bytes()
+        fresh = rng.standard_normal((2, 3))
+        save_embeddings(fresh, vocab, path)
+        loaded_vocab, loaded = load_embeddings(path)
+        assert loaded.tobytes() == fresh.tobytes()
+        assert twin.read_bytes() == stale
+        write_twin(path, loaded_vocab, loaded, file_sha256(path))
+        assert twin.read_bytes() != stale
+        assert load_embeddings(path)[1].tobytes() == fresh.tobytes()
+
+    def test_matching_twin_is_not_rewritten(self, tmp_path, rng, monkeypatch):
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vectors.txt"
+        _save_with_twin(rng.standard_normal((2, 3)), vocab, path)
+        monkeypatch.setattr(embedding.tempfile, "mkstemp", lambda **kw: pytest.fail("rewritten"))
+        write_twin(path, *load_embeddings(path), file_sha256(path))
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            ("truncated", "damaged embedding twin"),
+            ("float32", "float32 matrix of shape"),
+            ("rows", r"matrix of shape \(1, 3\) is not 2 rows"),
+            ("repeated", "tokens repeat"),
+        ],
+    )
+    def test_damaged_twin_raises_naming_it(self, tmp_path, rng, damage, match):
+        path = tmp_path / "vectors.txt"
+        vectors = rng.standard_normal((2, 3))
+        twin = _save_with_twin(vectors, build_vocab([["a", "b"]]), path)
+        digest = np.frombuffer(file_sha256(path).encode("ascii"), dtype=np.uint8)
+        tokens = np.frombuffer(b"a\nb", dtype=np.uint8)
+        arrays = {
+            "float32": [digest, tokens, vectors.astype(np.float32)],
+            "rows": [digest, tokens, vectors[:1]],
+            "repeated": [digest, np.frombuffer(b"a\na", dtype=np.uint8), vectors],
+        }
+        if damage == "truncated":
+            twin.write_bytes(twin.read_bytes()[:-8])
+        else:
+            with open(twin, "wb") as fh:
+                for array in arrays[damage]:
+                    np.save(fh, array)
+        with pytest.raises(DataError, match=match) as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{twin}: damaged embedding twin")
+        assert str(info.value).endswith("delete it")
+
+    def test_failed_replace_leaves_no_twin_and_no_temporary_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "vectors.txt"
+        vocab = build_vocab([["a", "b"]])
+        save_embeddings(rng.standard_normal((2, 3)), vocab, path)
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(embedding.os, "replace", refuse)
+        write_twin(path, *load_embeddings(path), file_sha256(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
+
+    def test_twin_bytes_are_deterministic_and_keep_the_text_mode(self, tmp_path, rng):
+        vocab = build_vocab([["a", "b", "c"]])
+        vectors = rng.standard_normal((3, 4))
+        first = _save_with_twin(vectors, vocab, tmp_path / "one.txt")
+        (tmp_path / "two.txt").write_bytes((tmp_path / "one.txt").read_bytes())
+        (tmp_path / "two.txt").chmod(0o640)
+        second = _save_with_twin(vectors, vocab, tmp_path / "two.txt")
+        assert first.read_bytes() == second.read_bytes()
+        assert second.stat().st_mode & 0o777 == 0o640
 
 
 class TestLookupUtilities:
