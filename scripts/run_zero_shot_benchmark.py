@@ -18,7 +18,7 @@ five label draws. Expect roughly a minute of wall time.
 import argparse
 import time
 
-from tagrec.cli import parse_int_list, parse_pair_list, parse_str_list
+from tagrec.cli import parse_list, parse_pair
 from tagrec.errors import write_json
 from tagrec.evaluate import ZslExperimentConfig, format_zsl_table, run_zsl_experiment
 from tagrec.supervised import TrainSpec
@@ -57,11 +57,11 @@ def main() -> int:
 
     shots = args.shots if args.setting == "fsl" else 0
     config = ZslExperimentConfig(
-        splits=parse_pair_list(args.splits),
-        methods=tuple(parse_str_list(args.methods)),
+        splits=parse_list(args.splits, parse_pair),
+        methods=tuple(parse_list(args.methods)),
         setting=args.setting,
-        seeds=tuple(parse_int_list(args.seeds)),
-        ks=tuple(parse_int_list(args.ks)),
+        seeds=tuple(parse_list(args.seeds, int)),
+        ks=tuple(parse_list(args.ks, int)),
         gamma=args.gamma,
         shots_min=shots,
         shots_max=shots,

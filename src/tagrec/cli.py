@@ -21,7 +21,8 @@ import argparse
 import json
 import os
 import sys
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .embedding import (
     SgnsConfig,
@@ -63,12 +64,39 @@ from .zsl import load_zsl_bundle, recommend, save_zsl_bundle
 CONFIG_ENV_VAR = "TAGREC_CONFIG"
 
 
+def parse_pair(text: str) -> tuple[int, int]:
+    """A seen/unseen split size pair such as "40/10"."""
+    try:
+        seen, unseen = text.split("/")
+        return int(seen), int(unseen)
+    except ValueError as exc:
+        raise ValueError("expected seen/unseen pair") from exc
+
+
+def parse_list(value, item=str) -> list:
+    """The items of a comma-separated string, or of a config file's JSON
+    list, each converted by item; empty items are skipped. A bad item
+    or an empty list raises a UsageError."""
+    result = []
+    for raw in value.split(",") if isinstance(value, str) else value:
+        text = str(raw).strip()
+        if text:
+            try:
+                result.append(item(text))
+            except ValueError as exc:
+                raise UsageError(f"bad list item {text!r}: {exc}") from exc
+    if not result:
+        raise UsageError(f"empty list {value!r}")
+    return result
+
+
 class Option(NamedTuple):
     """One option of a subcommand. `default` applies when neither the
     command line nor the config file gives a value; `required` options
-    must end up with one from either. A list option (`items` set) takes
-    a comma-separated string, or in the config file also a list of
-    `items`."""
+    must end up with one from either. A list option (`items` set to
+    its item converter: parse_pair, str or int) takes a comma-separated
+    string, or in the config file also a JSON list of integers (for
+    int) or strings."""
 
     flags: tuple[str, ...]
     dest: str
@@ -77,7 +105,7 @@ class Option(NamedTuple):
     default: object
     required: bool
     help: str | None
-    items: type | None
+    items: Callable | None
 
 
 def _opt(
@@ -105,7 +133,7 @@ _TRAIN = [
 ]
 _GRID = [
     *_DATASET,
-    _opt("--splits", default="40/10,30/20,25/25", items=str,
+    _opt("--splits", default="40/10,30/20,25/25", items=parse_pair,
          help="comma-separated seen/unseen sizes, e.g. 40/10,30/20"),
     _opt("--methods", default="conse,eszsl,dem", items=str,
          help="comma-separated subset of conse,eszsl,dem"),
@@ -123,61 +151,6 @@ _GRID = [
 ]
 _STOPWORDS = _opt("--stopwords", help="stopword file (default: bundled list)")
 
-# subcommand -> (help, options); flags, config-file keys, and defaults
-# all come from here
-COMMANDS: dict[str, tuple[str, list[Option]]] = {
-    "ingest": ("clean a raw tweet JSONL file", [
-        _opt("--input", "--in", required=True, help="raw tweet JSONL"),
-        _opt("--out", required=True, help="cleaned JSONL destination"),
-        _STOPWORDS,
-        *_CATALOG,
-        _opt("--labels-out", help="label catalog destination"),
-        _opt("--report-out", help="drop report destination"),
-        _opt("--emb-corpus",
-             help="also write a minimally cleaned text corpus for embedding training"),
-    ]),
-    "train-embeddings": ("train skip-gram embeddings", [
-        _opt("--corpus", required=True, help="text file, one sentence per line"),
-        _opt("--out", required=True, help="embedding destination (word2vec text format)"),
-        _opt("--dim", type=int, default=150),
-        _opt("--window", type=int, default=5),
-        _opt("--negatives", type=int, default=5),
-        _opt("--epochs", type=int, default=5),
-        _opt("--lr", type=float, default=0.025),
-        _opt("--min-count", type=int, default=1),
-        _opt("--seed", type=int, default=0),
-        _opt("--subsample", type=float, help="frequent-token subsampling threshold"),
-    ]),
-    "train-baseline": ("train the supervised classifier", [
-        *_DATASET,
-        _opt("--out", required=True, help="model bundle destination"),
-        _opt("--seed", type=int, default=0),
-        *_TRAIN,
-    ]),
-    "zsl": ("run the zsl evaluation grid", _GRID),
-    "fsl": ("run the fsl evaluation grid", [
-        *_GRID,
-        _opt("--shots", type=int, help="fixed shots per unseen label"),
-        _opt("--shots-min", type=int, default=5),
-        _opt("--shots-max", type=int, default=10),
-    ]),
-    "eval": ("cross-validate the supervised baseline", [
-        *_DATASET,
-        _opt("--folds", type=int, default=5),
-        _opt("--seed", type=int, default=0),
-        _opt("--averaging", choices=("micro", "macro"), default="micro"),
-        *_TRAIN,
-        _opt("--out", help="also write results JSON here"),
-    ]),
-    "recommend": ("rank candidate hashtags for one text", [
-        _opt("--bundle", required=True, help="ranker bundle from zsl/fsl --save-bundle"),
-        _opt("--text", required=True, help="the text to tag"),
-        _opt("--k", type=int, default=5),
-        _opt("--candidates", items=str, help="comma-separated candidate labels"),
-        _STOPWORDS,
-    ]),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -191,18 +164,11 @@ def build_parser() -> _Parser:
         help=f"JSON config file keyed by command name (default: ${CONFIG_ENV_VAR})",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, (help_text, options) in COMMANDS.items():
+    for command, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for o in options:
             p.add_argument(*o.flags, dest=o.dest, type=o.type, choices=o.choices, help=o.help)
     return parser
-
-
-def _load_config_file(path: str) -> dict:
-    obj = read_json(path, "utf-8")
-    if not isinstance(obj, dict):
-        raise DataError(f"config file {path}: expected an object keyed by command")
-    return obj
 
 
 # a JSON value's description, alone and in a list
@@ -221,29 +187,38 @@ def _is(value, kind: type) -> bool:
 def _check_config_value(path: str, command: str, o: Option, value) -> None:
     """A config-file value must be a JSON value of its option's type (a
     string, an integer, or any number for a float option, never a bool),
-    or a list of `items` for a list option, and one of the option's
-    choices where it has them; null is taken only where the option's
-    default is None."""
+    or a list of integers (items int) or strings for a list option, whose
+    items must then parse, and one of the option's choices where it has
+    them; null is taken only where the option's default is None."""
+    item_kind = int if o.items is int else str
     if value is None:
         ok = o.default is None
     elif o.items is not None and isinstance(value, list):
-        ok = all(_is(item, o.items) for item in value)
+        ok = all(_is(item, item_kind) for item in value)
     else:
         ok = _is(value, o.type) and (o.choices is None or value in o.choices)
     if not ok:
         kind = _KINDS[o.type][0]
         if o.items is not None:
-            kind += f" or a list of {_KINDS[o.items][1]}"
+            kind += f" or a list of {_KINDS[item_kind][1]}"
         if o.choices is not None:
             kind = "one of " + ", ".join(o.choices)
         raise DataError(f"{path}: {command}.{o.dest} must be {kind}, got {value!r}")
+    if o.items is not None and value is not None:
+        try:
+            parse_list(value, o.items)
+        except UsageError as exc:
+            raise DataError(f"{path}: {command}.{o.dest}: {exc}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
     command = args.command
     path = args.config if args.config is not None else os.environ.get(CONFIG_ENV_VAR) or None
-    section = {} if path is None else _load_config_file(path).get(command, {})
+    config = {} if path is None else read_json(path, "utf-8")
+    if not isinstance(config, dict):
+        raise DataError(f"config file {path}: expected an object keyed by command")
+    section = config.get(command, {})
     if not isinstance(section, dict):
         raise DataError(f"{path}: config section {command!r} must be an object")
     resolved = {}
@@ -259,39 +234,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"{o.flags[0]} is required for {command}")
         resolved[o.dest] = value
     return resolved
-
-
-def parse_pair_list(value) -> list[tuple[int, int]]:
-    items = value.split(",") if isinstance(value, str) else value
-    pairs = []
-    for item in items:
-        try:
-            a, b = item.strip().split("/")
-            pairs.append((int(a), int(b)))
-        except ValueError as exc:
-            raise UsageError(f"expected seen/unseen pair, got {item!r}") from exc
-    if not pairs:
-        raise UsageError("at least one split is required")
-    return pairs
-
-
-def parse_int_list(value) -> list[int]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    try:
-        result = [int(str(item).strip()) for item in items if str(item).strip()]
-    except ValueError as exc:
-        raise UsageError(f"expected integers, got {value!r}") from exc
-    if not result:
-        raise UsageError("empty integer list")
-    return result
-
-
-def parse_str_list(value) -> list[str]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    result = [str(item).strip() for item in items if str(item).strip()]
-    if not result:
-        raise UsageError("empty list")
-    return result
 
 
 def _derived_path(out: str, suffix: str) -> str:
@@ -436,11 +378,11 @@ def _grid_config(cfg: dict, setting: str) -> ZslExperimentConfig:
     else:
         shots_min, shots_max = 0, 0
     return ZslExperimentConfig(
-        splits=parse_pair_list(cfg["splits"]),
-        methods=tuple(parse_str_list(cfg["methods"])),
+        splits=parse_list(cfg["splits"], parse_pair),
+        methods=tuple(parse_list(cfg["methods"])),
         setting=setting,
-        seeds=tuple(parse_int_list(cfg["seeds"])),
-        ks=tuple(parse_int_list(cfg["ks"])),
+        seeds=tuple(parse_list(cfg["seeds"], int)),
+        ks=tuple(parse_list(cfg["ks"], int)),
         gamma=cfg["gamma"],
         conse_T=cfg["conse_t"],
         shots_min=shots_min,
@@ -452,6 +394,17 @@ def _grid_config(cfg: dict, setting: str) -> ZslExperimentConfig:
             learning_rate=cfg["dem_lr"],
         ),
     )
+
+
+def _report(result: dict, cfg: dict, table) -> None:
+    """Echo cfg into an experiment's result, print the result as JSON, a
+    blank line and its table, and write it to --out where given."""
+    result["invocation"] = cfg
+    print(json.dumps(result, sort_keys=True))
+    print()
+    print(table(result))
+    if cfg["out"]:
+        write_json(cfg["out"], result)
 
 
 def _cmd_grid(cfg: dict, setting: str) -> int:
@@ -468,13 +421,7 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
     cells = []
     for cell, bundle in zsl_cells(dataset, vocab, emb, zconfig):
         cells.append(cell)
-    result = zsl_result(zconfig, cells)
-    result["invocation"] = cfg
-    print(json.dumps(result, sort_keys=True))
-    print()
-    print(format_zsl_table(result))
-    if cfg["out"]:
-        write_json(cfg["out"], result)
+    _report(zsl_result(zconfig, cells), cfg, format_zsl_table)
     if cfg["save_bundle"]:
         save_zsl_bundle(bundle, cfg["save_bundle"], cfg["embeddings"], config=cfg, sha256=digest)
         write_twin(cfg["embeddings"], vocab, emb, digest)
@@ -490,20 +437,14 @@ def cmd_eval(cfg: dict) -> int:
         averaging=cfg["averaging"],
         train=_train_spec(cfg, seed=cfg["seed"]),
     )
-    result = run_supervised_experiment(dataset, vocab, emb, config)
-    result["invocation"] = cfg
-    print(json.dumps(result, sort_keys=True))
-    print()
-    print(format_supervised_table(result))
-    if cfg["out"]:
-        write_json(cfg["out"], result)
+    _report(run_supervised_experiment(dataset, vocab, emb, config), cfg, format_supervised_table)
     return 0
 
 
 def cmd_recommend(cfg: dict) -> int:
     bundle = load_zsl_bundle(cfg["bundle"])
     if cfg["candidates"]:
-        candidates = parse_str_list(cfg["candidates"])
+        candidates = parse_list(cfg["candidates"])
     elif bundle.split is not None:
         candidates = bundle.split.unseen
     else:
@@ -525,14 +466,59 @@ def cmd_recommend(cfg: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "train-embeddings": cmd_train_embeddings,
-    "train-baseline": cmd_train_baseline,
-    "zsl": lambda cfg: _cmd_grid(cfg, "zsl"),
-    "fsl": lambda cfg: _cmd_grid(cfg, "fsl"),
-    "eval": cmd_eval,
-    "recommend": cmd_recommend,
+# subcommand -> (help, options, handler); flags, config-file keys,
+# defaults and the code that runs all come from here
+COMMANDS: dict[str, tuple[str, list[Option], Callable[[dict], int]]] = {
+    "ingest": ("clean a raw tweet JSONL file", [
+        _opt("--input", "--in", required=True, help="raw tweet JSONL"),
+        _opt("--out", required=True, help="cleaned JSONL destination"),
+        _STOPWORDS,
+        *_CATALOG,
+        _opt("--labels-out", help="label catalog destination"),
+        _opt("--report-out", help="drop report destination"),
+        _opt("--emb-corpus",
+             help="also write a minimally cleaned text corpus for embedding training"),
+    ], cmd_ingest),
+    "train-embeddings": ("train skip-gram embeddings", [
+        _opt("--corpus", required=True, help="text file, one sentence per line"),
+        _opt("--out", required=True, help="embedding destination (word2vec text format)"),
+        _opt("--dim", type=int, default=150),
+        _opt("--window", type=int, default=5),
+        _opt("--negatives", type=int, default=5),
+        _opt("--epochs", type=int, default=5),
+        _opt("--lr", type=float, default=0.025),
+        _opt("--min-count", type=int, default=1),
+        _opt("--seed", type=int, default=0),
+        _opt("--subsample", type=float, help="frequent-token subsampling threshold"),
+    ], cmd_train_embeddings),
+    "train-baseline": ("train the supervised classifier", [
+        *_DATASET,
+        _opt("--out", required=True, help="model bundle destination"),
+        _opt("--seed", type=int, default=0),
+        *_TRAIN,
+    ], cmd_train_baseline),
+    "zsl": ("run the zsl evaluation grid", _GRID, partial(_cmd_grid, setting="zsl")),
+    "fsl": ("run the fsl evaluation grid", [
+        *_GRID,
+        _opt("--shots", type=int, help="fixed shots per unseen label"),
+        _opt("--shots-min", type=int, default=5),
+        _opt("--shots-max", type=int, default=10),
+    ], partial(_cmd_grid, setting="fsl")),
+    "eval": ("cross-validate the supervised baseline", [
+        *_DATASET,
+        _opt("--folds", type=int, default=5),
+        _opt("--seed", type=int, default=0),
+        _opt("--averaging", choices=("micro", "macro"), default="micro"),
+        *_TRAIN,
+        _opt("--out", help="also write results JSON here"),
+    ], cmd_eval),
+    "recommend": ("rank candidate hashtags for one text", [
+        _opt("--bundle", required=True, help="ranker bundle from zsl/fsl --save-bundle"),
+        _opt("--text", required=True, help="the text to tag"),
+        _opt("--k", type=int, default=5),
+        _opt("--candidates", items=str, help="comma-separated candidate labels"),
+        _STOPWORDS,
+    ], cmd_recommend),
 }
 
 
@@ -542,17 +528,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        return _COMMANDS[args.command](resolve_config(args))
+        return COMMANDS[args.command][2](resolve_config(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

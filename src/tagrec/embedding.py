@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import stat
 import tempfile
 from collections import Counter
 from contextlib import suppress
@@ -282,10 +283,14 @@ def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
     A row takes at least 2 * d + 2 bytes (a token, d one-character
     values, d spaces and a newline, less one for the last row), so the
     file's size bounds the rows it can hold, and no more are read
-    whatever the header declares.
+    whatever the header declares. A file is hashed and sized before it
+    is parsed, so it must be a regular file, not a pipe or a device.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise DataError(f"{path}: an embedding must be a regular file")
             header = fh.readline()
             parts = header.split()
             if len(parts) != 2:
@@ -298,7 +303,7 @@ def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
                 raise DataError(
                     f"{path}:1: header {header!r} needs rows >= 0 and dimension >= 1"
                 )
-            body_bytes = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+            body_bytes = info.st_size - len(header.encode("utf-8"))
             max_rows = min(n_rows, (body_bytes + 1) // (2 * dim + 2))
             tokens: list[str] = []
             index: dict[str, int] = {}
@@ -319,7 +324,11 @@ def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
                         raise DataError(f"{path}:{lineno}: empty token")
                     if token in index:
                         raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
-                    if not rest:  # loadtxt would skip an empty line
+                    # loadtxt would skip an empty line, and its float
+                    # parser strips the separator controls float() rejects
+                    if not rest or (
+                        "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest
+                    ):
                         raise DataError(f"{path}:{lineno}: non-numeric field")
                     index[token] = len(tokens)
                     tokens.append(token)

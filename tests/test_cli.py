@@ -197,6 +197,29 @@ class TestConfigResolution:
         assert code == 2
         assert f"data error: {cfg}: {command}.{key} must be" in err
 
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [("ks", "1,x", "1,x"), ("splits", ["4-2"], "4-2"), ("seeds", "", "")],
+        ids=["ks-bad-int", "splits-bad-pair", "seeds-empty"],
+    )
+    def test_malformed_list_content_is_a_data_error_from_the_file(
+        self, capsys, tmp_path, key, value, flag
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"zsl": {key: value}}), encoding="ascii")
+        data = ["--clean", "c.jsonl", "--embeddings", "e.txt"]
+        code, _, err = run_cli(["--config", str(cfg), "zsl", *data], capsys)
+        assert code == 2
+        assert f"data error: {cfg}: zsl.{key}" in err
+        code, _, err = run_cli(["zsl", *data, f"--{key}", flag], capsys)
+        assert code == 1 and err.startswith("error: ")
+
+    def test_empty_split_items_are_skipped(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["zsl", "--clean", "c.jsonl", "--embeddings", "e.txt", "--splits", "40/10,"]
+        )
+        assert cli._grid_config(cli.resolve_config(args), "zsl").splits == [(40, 10)]
+
     def test_lists_of_the_item_type_are_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"zsl": {
@@ -227,6 +250,30 @@ class TestConfigResolution:
             ["--config", str(cfg)] + ingest_argv(tmp_path), capsys
         )
         assert code == 2 and f"{cfg}: config section 'ingest' must be an object" in err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+class TestCommandTable:
+    """Every command of the one table builds, and every option's default
+    satisfies the type, choices and item converter the table declares."""
+
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: tagrec {command}" in capsys.readouterr().out
+
+    def test_defaults_pass_as_config_file_values(self, tmp_path, command):
+        options = cli.COMMANDS[command][1]
+        required = [arg for o in options if o.required for arg in (o.flags[0], "x")]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {command: {o.dest: o.default for o in options if not o.required}}
+        ), encoding="ascii")
+        def resolve(*argv):
+            return cli.resolve_config(cli.build_parser().parse_args(argv))
+
+        assert resolve("--config", str(cfg), command, *required) == resolve(command, *required)
 
 
 class TestIngestCommand:
@@ -558,6 +605,14 @@ class TestTrainBaselineCommand:
             ["train-baseline", *flags, "--out", str(tmp_path / "baseline.json")], capsys
         )
         assert code == 2 and f"data error: {vectors}:1: header" in err
+
+    def test_non_regular_embedding_file_is_a_data_error(self, capsys, tmp_path, world):
+        flags = ["/dev/null" if f == world.embeddings else f for f in world.data_flags]
+        code, _, err = run_cli(
+            ["train-baseline", *flags, "--out", str(tmp_path / "b.json")], capsys
+        )
+        assert code == 2
+        assert "data error: /dev/null: an embedding must be a regular file" in err
 
     def test_label_catalog_restricts_and_orders(self, capsys, tmp_path, world):
         subset = sorted(world.corpus.dataset.label_set)[:3][::-1]
@@ -1063,7 +1118,8 @@ class TestExitCodeMapping:
         def boom(cfg):
             raise NumericalError("loss diverged")
 
-        monkeypatch.setitem(cli._COMMANDS, "eval", boom)
+        help_text, options, _ = cli.COMMANDS["eval"]
+        monkeypatch.setitem(cli.COMMANDS, "eval", (help_text, options, boom))
         code, _, err = run_cli(
             ["eval", "--clean", "x", "--embeddings", "y"], capsys
         )

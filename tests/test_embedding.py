@@ -384,6 +384,19 @@ class TestEmbeddingIO:
         with pytest.raises(DataError, match=r"loose\.txt:3: non-numeric field"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("control", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_controls_are_rejected_as_float_rejects_them(self, tmp_path, control):
+        # numpy's float parser strips them as whitespace; float() does not
+        path = tmp_path / "sep.txt"
+        path.write_text(f"1 2\na 1{control} 2\n", encoding="utf-8")
+        for loader in (load_embeddings, load_embeddings_reference):
+            with pytest.raises(DataError, match=r"sep\.txt:2: non-numeric field"):
+                loader(path)
+
+    def test_non_regular_file_is_named_as_one(self):
+        with pytest.raises(DataError, match="/dev/null: an embedding must be a regular file"):
+            load_embeddings("/dev/null")
+
     @given(
         st.integers(1, 4).flatmap(
             lambda d: st.lists(
