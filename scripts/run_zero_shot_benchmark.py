@@ -23,6 +23,7 @@ from tagrec.errors import write_json
 from tagrec.evaluate import ZslExperimentConfig, format_zsl_table, run_zsl_experiment
 from tagrec.supervised import TrainSpec
 from tagrec.synthetic import make_clustered_corpus
+from tagrec.zsl import METHODS
 
 
 def main() -> int:
@@ -32,7 +33,7 @@ def main() -> int:
     ap.add_argument("--corpus-seed", type=int, default=0)
     ap.add_argument("--splits", default="8/4", help="seen/unseen sizes, e.g. 8/4,6/6")
     ap.add_argument("--seeds", default="0,1,2,3,4", help="label-draw seeds")
-    ap.add_argument("--methods", default="conse,eszsl,dem")
+    ap.add_argument("--methods", default=",".join(METHODS))
     ap.add_argument("--setting", choices=("zsl", "fsl"), default="zsl")
     ap.add_argument("--shots", type=int, default=10,
                     help="labeled examples revealed per unseen label (fsl only)")

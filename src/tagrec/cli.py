@@ -59,7 +59,7 @@ from .ingest import (
     write_clean_jsonl,
 )
 from .supervised import TrainSpec, save_baseline_bundle, train_baseline
-from .zsl import load_zsl_bundle, recommend, save_zsl_bundle
+from .zsl import METHODS, load_zsl_bundle, recommend, save_zsl_bundle
 
 CONFIG_ENV_VAR = "TAGREC_CONFIG"
 
@@ -135,8 +135,8 @@ _GRID = [
     *_DATASET,
     _opt("--splits", default="40/10,30/20,25/25", items=parse_pair,
          help="comma-separated seen/unseen sizes, e.g. 40/10,30/20"),
-    _opt("--methods", default="conse,eszsl,dem", items=str,
-         help="comma-separated subset of conse,eszsl,dem"),
+    _opt("--methods", default=",".join(METHODS), items=str,
+         help=f"comma-separated subset of {','.join(METHODS)}"),
     _opt("--seeds", default="0,1,2,3,4", items=int, help="comma-separated seeds"),
     _opt("--ks", default="1,2,5", items=int, help="comma-separated hit@K cutoffs"),
     _opt("--gamma", type=float, default=1.0, help="bilinear-model regularization strength"),
@@ -348,10 +348,11 @@ def _train_spec(cfg: dict, seed: int = 0) -> TrainSpec:
 
 
 def cmd_train_baseline(cfg: dict) -> int:
+    spec = _train_spec(cfg, seed=cfg["seed"])
     dataset = _load_dataset(cfg)
     digest = file_sha256(cfg["embeddings"])
     vocab, emb = load_embeddings(cfg["embeddings"], digest)
-    model = train_baseline(dataset, vocab, emb, _train_spec(cfg, seed=cfg["seed"]))
+    model = train_baseline(dataset, vocab, emb, spec)
     save_baseline_bundle(model, cfg["out"], cfg["embeddings"], config=cfg, sha256=digest)
     write_twin(cfg["embeddings"], vocab, emb, digest)
     print(
@@ -429,14 +430,14 @@ def _cmd_grid(cfg: dict, setting: str) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    dataset = _load_dataset(cfg)
-    vocab, emb = load_embeddings(cfg["embeddings"])
     config = SupervisedExperimentConfig(
         folds=cfg["folds"],
         seed=cfg["seed"],
         averaging=cfg["averaging"],
         train=_train_spec(cfg, seed=cfg["seed"]),
     )
+    dataset = _load_dataset(cfg)
+    vocab, emb = load_embeddings(cfg["embeddings"])
     _report(run_supervised_experiment(dataset, vocab, emb, config), cfg, format_supervised_table)
     return 0
 

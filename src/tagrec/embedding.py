@@ -283,14 +283,11 @@ def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
     A row takes at least 2 * d + 2 bytes (a token, d one-character
     values, d spaces and a newline, less one for the last row), so the
     file's size bounds the rows it can hold, and no more are read
-    whatever the header declares. A file is hashed and sized before it
-    is parsed, so it must be a regular file, not a pipe or a device.
+    whatever the header declares.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             info = os.fstat(fh.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise DataError(f"{path}: an embedding must be a regular file")
             header = fh.readline()
             parts = header.split()
             if len(parts) != 2:
@@ -363,7 +360,15 @@ def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:
 TWIN_SUFFIX = ".twin.npy"
 
 
+def _require_regular_file(path) -> None:
+    # an embedding is hashed and sized before it is parsed; the path is
+    # checked before any open, which on a pipe would wait for a writer
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataError(f"{path}: an embedding must be a regular file")
+
+
 def file_sha256(path) -> str:
+    _require_regular_file(path)
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -414,6 +419,7 @@ def load_embeddings(path, digest: str | None = None) -> tuple[Vocabulary, np.nda
     is damaged raises a DataError naming it. Counts are not part of
     either format, so every loaded token gets frequency 1.
     """
+    _require_regular_file(path)
     twin = f"{os.fspath(path)}{TWIN_SUFFIX}"
     if os.path.exists(twin):
         loaded = _read_twin(twin, digest or file_sha256(path))

@@ -25,18 +25,16 @@ from .supervised import (
     train_baseline,
 )
 from .zsl import (
+    METHODS,
     AttributeMatrix,
     ZslBundle,
     fit_bundles,
     fsl_augment,
     make_split,
-    rank_features,
     subset_by_labels,
 )
 
 logger = logging.getLogger(__name__)
-
-METHODS = ("conse", "eszsl", "dem")
 
 
 @dataclass
@@ -275,6 +273,12 @@ class ZslExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.conse_T is not None and self.conse_T < 1:
+            raise ValueError(f"conse_T must be >= 1, got {self.conse_T}")
+        if min(self.ks, default=1) < 1:
+            raise ValueError(f"K must be >= 1, got {min(self.ks)}")
 
 
 def _config_json(config: ZslExperimentConfig) -> dict:
@@ -320,17 +324,13 @@ def zsl_cells(
             )
             unseen_attrs = AttributeMatrix.from_labels(split.unseen, vocab, emb)
             test_feats = extract_features_batch(classifier, test_tokens)
+            test_probs = classifier.probs(test_feats)
 
-            for bundle in fit_bundles(
-                classifier,
-                train_set,
-                split,
-                config.methods,
-                config.gamma,
-                config.conse_T,
-                replace(config.dem_train, seed=seed),
-            ):
-                rankings = _rank_test_set(bundle, test_feats, unseen_attrs)
+            dem_spec = replace(config.dem_train, seed=seed)
+            for bundle in fit_bundles(classifier, train_set, split, config.methods,
+                                      config.gamma, config.conse_T, dem_spec):
+                rankings = [bundle.head.rank(classifier, x, unseen_attrs, p).labels()
+                            for x, p in zip(test_feats, test_probs)]
                 report = flat_hit_at_k(rankings, test_true, ks=config.ks)
                 cell = {
                     "split": f"{n_seen}/{n_unseen}",
@@ -341,18 +341,6 @@ def zsl_cells(
                     "hit_at": report.as_dict(),
                 }
                 yield cell, bundle
-
-
-def _rank_test_set(
-    bundle: ZslBundle, test_feats: np.ndarray, unseen_attrs: AttributeMatrix
-) -> list[list[str]]:
-    if bundle.method == "conse":
-        probs = bundle.classifier.probs(test_feats)
-    else:
-        probs = [None] * len(test_feats)
-    return [
-        rank_features(bundle, x, unseen_attrs, p).labels() for x, p in zip(test_feats, probs)
-    ]
 
 
 def zsl_result(config: ZslExperimentConfig, cells: list[dict]) -> dict:

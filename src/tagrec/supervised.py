@@ -40,6 +40,8 @@ class TrainSpec:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -159,15 +161,21 @@ def baseline_bundle_dict(
     embedding_path: str,
     config: dict | None = None,
     sha256: str | None = None,
+    base_dir: str = ".",
 ) -> dict:
     """JSON-serializable bundle: label order, layer weights, and a
     path-plus-hash reference to the embedding file. sha256 is the
-    file's hash where the caller already has it."""
+    file's hash where the caller already has it. A relative
+    embedding_path is recorded relative to base_dir, which
+    baseline_from_bundle_dict resolves it against."""
+    recorded = str(embedding_path)
+    if not os.path.isabs(recorded):
+        recorded = os.path.relpath(recorded, base_dir)
     return {
         "kind": "baseline",
         "label_order": model.label_order,
         "feature_dim": model.feature_dim,
-        "embedding": {"path": str(embedding_path), "sha256": sha256 or file_sha256(embedding_path)},
+        "embedding": {"path": recorded, "sha256": sha256 or file_sha256(embedding_path)},
         "hidden": _layer_to_json(model.hidden_weights, model.hidden_bias, "tanh"),
         "output": _layer_to_json(model.output_weights, model.output_bias, "softmax"),
         "loss_history": model.loss_history,
@@ -182,7 +190,8 @@ def save_baseline_bundle(
     config: dict | None = None,
     sha256: str | None = None,
 ) -> None:
-    write_json(path, baseline_bundle_dict(model, embedding_path, config, sha256))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    write_json(path, baseline_bundle_dict(model, embedding_path, config, sha256, base_dir))
 
 
 def read_bundle(path) -> dict:

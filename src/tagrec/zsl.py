@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,25 +87,91 @@ class AttributeMatrix:
         return cls(matrix=emb[rows].T, labels=labels)
 
 
+# A head class is the one place its method lives: its name, its bundle
+# entry, and rank(classifier, x, attrs, probs=None), which ranks attrs'
+# candidates for one text with feature vector x (and, for ConSE, label
+# probabilities probs) through the module's ranker functions by name.
+
+
 @dataclass
 class ConseModel:
+    """ConSE's head: the training labels' attribute vectors, of which
+    the T most probable for a text are combined."""
+
+    method = "conse"
     seen_embeddings: AttributeMatrix
     T: int
+
+    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
+        if probs is None:  # computed from x unless the caller has them
+            probs = classifier.probs(x)
+        return conse_rank(conse_embed(probs, self.seen_embeddings, self.T), attrs)
+
+    def to_json(self) -> dict:
+        attrs = self.seen_embeddings
+        return {"T": self.T, "labels": attrs.labels, "vectors": attrs.matrix.T.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict, classifier: BaselineClassifier) -> "ConseModel":
+        n = len(classifier.label_order)
+        labels = list(obj["labels"])
+        vectors = np.array(obj["vectors"], dtype=float)
+        expect_shape("ConSE vectors", vectors, (n, classifier.emb.shape[1]))
+        if len(labels) != n:
+            raise ValueError(f"ConSE has {len(labels)} labels for {n} classifier outputs")
+        T = int(obj["T"])
+        if not 1 <= T <= n:
+            raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
+        return cls(seen_embeddings=AttributeMatrix(matrix=vectors.T, labels=labels), T=T)
 
 
 @dataclass
 class EszslModel:
+    method = "eszsl"
     W: np.ndarray  # (p, s)
     gamma: float
+
+    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
+        return eszsl_rank(self, x, attrs)
+
+    def to_json(self) -> dict:
+        return {"gamma": self.gamma, "W": self.W.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict, classifier: BaselineClassifier) -> "EszslModel":
+        W = np.array(obj["W"], dtype=float)
+        expect_shape("ESZSL W", W, (classifier.feature_dim, classifier.emb.shape[1]))
+        return cls(W=W, gamma=float(obj["gamma"]))
 
 
 @dataclass
 class DemModel:
     """The attribute-to-feature mapper a -> relu(weights @ a + bias)."""
 
+    method = "dem"
     weights: np.ndarray  # (p, s)
     bias: np.ndarray  # (p,)
     loss_history: list[float] = field(default_factory=list)
+
+    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
+        return dem_rank(self, x, attrs)
+
+    def to_json(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
+                "loss_history": self.loss_history}
+
+    @classmethod
+    def from_json(cls, obj: dict, classifier: BaselineClassifier) -> "DemModel":
+        weights = np.array(obj["weights"], dtype=float)
+        bias = np.array(obj["bias"], dtype=float)
+        expect_shape("DEM weights", weights, (classifier.feature_dim, classifier.emb.shape[1]))
+        expect_shape("DEM bias", bias, (classifier.feature_dim,))
+        return cls(weights, bias, loss_history=list(obj.get("loss_history", [])))
+
+
+# method name -> head class, in the order the grid runs them
+HEADS = {head.method: head for head in (ConseModel, EszslModel, DemModel)}
+METHODS = tuple(HEADS)
 
 
 @dataclass
@@ -332,11 +398,9 @@ def make_conse(
 ) -> ConseModel:
     """ConSE head over the classifier's training labels; T defaults to
     every training label."""
-    seen_embeddings = AttributeMatrix.from_labels(classifier.label_order, vocab, emb)
-    return ConseModel(
-        seen_embeddings=seen_embeddings,
-        T=T if T is not None else len(classifier.label_order),
-    )
+    labels = classifier.label_order
+    T = len(labels) if T is None else T
+    return ConseModel(AttributeMatrix.from_labels(labels, vocab, emb), T)
 
 
 def fsl_augment(
@@ -391,10 +455,13 @@ class ZslBundle:
     """A trained ranker ready for recommendation: the shared feature
     extractor plus one method-specific head."""
 
-    method: str  # conse | eszsl | dem
     classifier: BaselineClassifier
     head: ConseModel | EszslModel | DemModel
     split: ZslSplit | None = None
+
+    @property
+    def method(self) -> str:
+        return self.head.method
 
 
 def fit_bundles(
@@ -418,9 +485,7 @@ def fit_bundles(
     feats = None
     for method in methods:
         if method in ("eszsl", "dem") and feats is None:
-            feats = extract_features_batch(
-                classifier, [tokens for tokens, _ in train.examples]
-            )
+            feats = extract_features_batch(classifier, [tokens for tokens, _ in train.examples])
             A = AttributeMatrix.from_labels(train.label_set, vocab, emb)
             index = {label: i for i, label in enumerate(A.labels)}
             y = np.array([index[label] for _, label in train.examples])
@@ -432,31 +497,7 @@ def fit_bundles(
             head = dem_fit(feats, A.matrix.T[y], dem_spec)
         else:
             raise ValueError(f"unknown method {method!r}")
-        yield ZslBundle(method=method, classifier=classifier, head=head, split=split)
-
-
-def rank_features(
-    bundle: ZslBundle, x: np.ndarray, attrs: AttributeMatrix, probs: np.ndarray | None = None
-) -> Prediction:
-    """Run the bundle's ranker over `attrs`' candidates for one tweet
-    with feature vector x. ConSE also needs the classifier's label
-    probabilities, computed from x unless the caller has them."""
-    if bundle.method == "conse":
-        if probs is None:
-            probs = bundle.classifier.probs(x)
-        return conse_rank(conse_embed(probs, bundle.head.seen_embeddings, bundle.head.T), attrs)
-    if bundle.method == "eszsl":
-        return eszsl_rank(bundle.head, x, attrs)
-    if bundle.method == "dem":
-        return dem_rank(bundle.head, x, attrs)
-    raise ValueError(f"unknown method {bundle.method!r}")
-
-
-def rank_candidates(bundle: ZslBundle, tokens, candidates) -> Prediction:
-    """Run the appropriate ranker over the candidate labels for one
-    tokenized tweet."""
-    attrs = AttributeMatrix.from_labels(candidates, bundle.classifier.vocab, bundle.classifier.emb)
-    return rank_features(bundle, extract_features(bundle.classifier, tokens), attrs)
+        yield ZslBundle(classifier=classifier, head=head, split=split)
 
 
 def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:
@@ -468,57 +509,13 @@ def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:
     candidates = list(candidates)
     if not candidates:
         raise DataError("candidate label set is empty")
-    prediction = rank_candidates(bundle, tokens, candidates)
-    prediction.all_oov = all(t not in bundle.classifier.vocab.index for t in tokens)
+    classifier = bundle.classifier
+    attrs = AttributeMatrix.from_labels(candidates, classifier.vocab, classifier.emb)
+    prediction = bundle.head.rank(classifier, extract_features(classifier, tokens), attrs)
+    prediction.all_oov = all(t not in classifier.vocab.index for t in tokens)
     if prediction.all_oov:
         logger.warning("no in-vocabulary tokens; ranking from the zero feature")
     return prediction.top(k)
-
-
-def _head_to_json(bundle: ZslBundle) -> dict:
-    if bundle.method == "conse":
-        return {
-            "T": bundle.head.T,
-            "labels": bundle.head.seen_embeddings.labels,
-            "vectors": bundle.head.seen_embeddings.matrix.T.tolist(),
-        }
-    if bundle.method == "eszsl":
-        return {"gamma": bundle.head.gamma, "W": bundle.head.W.tolist()}
-    if bundle.method == "dem":
-        return {
-            "weights": bundle.head.weights.tolist(),
-            "bias": bundle.head.bias.tolist(),
-            "loss_history": bundle.head.loss_history,
-        }
-    raise ValueError(f"unknown method {bundle.method!r}")
-
-
-def _head_from_json(method: str, obj: dict, classifier: BaselineClassifier):
-    p, s, n = classifier.feature_dim, classifier.emb.shape[1], len(classifier.label_order)
-    if method == "conse":
-        labels = list(obj["labels"])
-        vectors = np.array(obj["vectors"], dtype=float)
-        expect_shape("ConSE vectors", vectors, (n, s))
-        if len(labels) != n:
-            raise ValueError(f"ConSE has {len(labels)} labels for {n} classifier outputs")
-        T = int(obj["T"])
-        if not 1 <= T <= n:
-            raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
-        return ConseModel(
-            seen_embeddings=AttributeMatrix(matrix=vectors.T, labels=labels),
-            T=T,
-        )
-    if method == "eszsl":
-        W = np.array(obj["W"], dtype=float)
-        expect_shape("ESZSL W", W, (p, s))
-        return EszslModel(W=W, gamma=float(obj["gamma"]))
-    if method == "dem":
-        weights = np.array(obj["weights"], dtype=float)
-        bias = np.array(obj["bias"], dtype=float)
-        expect_shape("DEM weights", weights, (p, s))
-        expect_shape("DEM bias", bias, (p,))
-        return DemModel(weights, bias, loss_history=list(obj.get("loss_history", [])))
-    raise DataError(f"unknown method {method!r} in bundle")
 
 
 def save_zsl_bundle(
@@ -530,17 +527,17 @@ def save_zsl_bundle(
 ) -> None:
     """The bundle as one JSON object; the classifier entry names the
     embedding file by path and SHA-256 (sha256, where the caller already
-    has it), which the loader checks."""
+    has it), which the loader checks. A relative embedding_path is
+    recorded relative to the bundle's directory, where the loader looks
+    for it."""
+    base_dir = os.path.dirname(os.path.abspath(path))
+    classifier = baseline_bundle_dict(bundle.classifier, embedding_path, None, sha256, base_dir)
     write_json(path, {
         "kind": "zsl",
         "method": bundle.method,
-        "split": (
-            {"seen": bundle.split.seen, "unseen": bundle.split.unseen, "seed": bundle.split.seed}
-            if bundle.split
-            else None
-        ),
-        "classifier": baseline_bundle_dict(bundle.classifier, embedding_path, sha256=sha256),
-        "head": _head_to_json(bundle),
+        "split": asdict(bundle.split) if bundle.split else None,
+        "classifier": classifier,
+        "head": bundle.head.to_json(),
         "config": config or {},
     })
 
@@ -551,6 +548,9 @@ def load_zsl_bundle(path) -> ZslBundle:
         raise DataError(f"{path}: not a zero-shot model bundle")
     base_dir = os.path.dirname(os.path.abspath(path))
     with bundle_fields(path):
+        head = HEADS.get(obj["method"])
+        if head is None:
+            raise ValueError(f"unknown method {obj['method']!r}")
         classifier = baseline_from_bundle_dict(obj["classifier"], base_dir=base_dir)
         split = None
         if obj.get("split"):
@@ -558,9 +558,4 @@ def load_zsl_bundle(path) -> ZslBundle:
             if not (is_str_list(seen) and is_str_list(unseen)):
                 raise ValueError("split seen and unseen must be lists of labels")
             split = ZslSplit(seen=seen, unseen=unseen, seed=int(obj["split"]["seed"]))
-        return ZslBundle(
-            method=obj["method"],
-            classifier=classifier,
-            head=_head_from_json(obj["method"], obj["head"], classifier),
-            split=split,
-        )
+        return ZslBundle(classifier, head.from_json(obj["head"], classifier), split)

@@ -606,6 +606,33 @@ class TestTrainBaselineCommand:
         )
         assert code == 2 and f"data error: {vectors}:1: header" in err
 
+    def test_relative_embedding_path_is_recorded_from_the_bundle(
+        self, capsys, tmp_path, world, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "models").mkdir()
+        flags = [os.path.relpath(f) if f == world.embeddings else f for f in world.data_flags]
+        code, _, _ = run_cli(
+            ["train-baseline", *flags, "--out", "models/b.json", "--epochs", "2", "--hidden", "8"],
+            capsys,
+        )
+        assert code == 0
+        saved = json.loads((tmp_path / "models" / "b.json").read_text(encoding="ascii"))
+        assert saved["embedding"]["path"] == os.path.relpath(world.embeddings, "models")
+        assert load_baseline_bundle("models/b.json").vocab.tokens == world.corpus.vocab.tokens
+
+    @pytest.mark.parametrize("command", ["train-baseline", "eval"])
+    @pytest.mark.parametrize("lr", ["0", "-0.001"])
+    def test_non_positive_learning_rate_is_a_usage_error(self, capsys, tmp_path, command, lr):
+        """Refused before any input is read: the named files do not exist."""
+        out = tmp_path / "b.json"
+        code, _, err = run_cli(
+            [command, "--clean", str(tmp_path / "no.jsonl"), "--embeddings",
+             str(tmp_path / "no.txt"), "--out", str(out), "--lr", lr], capsys
+        )
+        assert code == 1 and "learning_rate must be > 0" in err
+        assert not out.exists()
+
     def test_non_regular_embedding_file_is_a_data_error(self, capsys, tmp_path, world):
         flags = ["/dev/null" if f == world.embeddings else f for f in world.data_flags]
         code, _, err = run_cli(
@@ -802,6 +829,46 @@ class TestGridCommands:
         )
         assert code == 1 and "unknown method" in err
 
+    def test_methods_default_lists_every_head(self):
+        [methods] = [o for o in cli.COMMANDS["zsl"][1] if o.dest == "methods"]
+        assert methods.default == ",".join(zsl.METHODS) == "conse,eszsl,dem"
+        assert evaluate.METHODS is zsl.METHODS
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--gamma", "0"], "gamma must be > 0"), (["--conse-t", "0"], "conse_T must be >= 1"),
+         (["--ks", "1,0"], "K must be >= 1"), (["--lr", "0"], "learning_rate must be > 0"),
+         (["--dem-lr", "-0.1"], "learning_rate must be > 0")],
+        ids=["gamma", "conse-t", "ks", "lr", "dem-lr"],
+    )
+    def test_bad_value_is_rejected_before_training(
+        self, capsys, world, monkeypatch, flags, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before the bad value was rejected")
+
+        monkeypatch.setattr(evaluate, "train_baseline", refuse)
+        code, _, err = run_cli(["zsl", *world.data_flags, *FAST_GRID, *flags], capsys)
+        assert code == 1 and message in err
+
+    def test_relative_embedding_path_is_recorded_from_the_bundle(
+        self, capsys, tmp_path, world, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "models").mkdir()
+        (tmp_path / "data" / "v.txt").write_bytes(Path(world.embeddings).read_bytes())
+        flags = ["data/v.txt" if f == world.embeddings else f for f in world.data_flags]
+        code, _, _ = run_cli(
+            ["zsl", *flags, *FAST_GRID, "--methods", "dem", "--save-bundle", "models/r.json"],
+            capsys,
+        )
+        assert code == 0
+        saved = json.loads((tmp_path / "models" / "r.json").read_text(encoding="ascii"))
+        assert saved["classifier"]["embedding"]["path"] == os.path.join("..", "data", "v.txt")
+        code, _, err = run_cli(["recommend", "--bundle", "models/r.json", "--text", "hi"], capsys)
+        assert code == 0, err
+
     def test_recommend_missing_bundle(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["recommend", "--bundle", str(tmp_path / "nope.json"), "--text", "hi"],
@@ -979,6 +1046,7 @@ BAD_BUNDLES = [
         obj, "hidden", bias=obj["classifier"]["hidden"]["bias"][:-1])),
     ("eszsl", "split-ints", lambda obj: {
         **obj, "split": {**obj["split"], "unseen": list(range(len(obj["split"]["unseen"])))}}),
+    ("conse", "unknown-method", lambda obj: {**obj, "method": "mystery"}),
 ]
 
 
@@ -1135,15 +1203,43 @@ def test_script_help(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def run_script(script, *args):
+def run_python(*args, **kwargs):
+    """A fresh Python run with args, the package's sources importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
     )
+
+
+def run_script(script, *args, **kwargs):
+    return run_python(str(REPO / "scripts" / script), *args, **kwargs)
+
+
+def test_pipeline_demo_runs_from_a_relative_workdir(tmp_path):
+    """README's first command: every artifact path is relative to the
+    current directory, and recommend still finds the embedding file its
+    bundle names."""
+    proc = run_script("run_pipeline_demo.py", "--workdir", "demo_artifacts", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    bundle = json.loads((tmp_path / "demo_artifacts" / "bundle.json").read_text("ascii"))
+    assert bundle["classifier"]["embedding"]["path"] == "vectors.txt"
+
+
+@pytest.mark.parametrize("command", ["eval", "train-baseline"])
+def test_fifo_embeddings_are_a_data_error_without_waiting(tmp_path, world, command):
+    """Opening a FIFO waits for a writer, so the embedding path must be
+    refused before the first open or hash; the timeout turns a hang into
+    a failure."""
+    fifo = tmp_path / "fifo.txt"
+    os.mkfifo(fifo)
+    flags = [str(fifo) if f == world.embeddings else f for f in world.data_flags]
+    proc = run_python("-m", "tagrec.cli", command, *flags, "--out", str(tmp_path / "o.json"),
+                      timeout=30)
+    assert proc.returncode == 2
+    assert f"data error: {fifo}: an embedding must be a regular file" in proc.stderr
 
 
 @pytest.mark.parametrize(

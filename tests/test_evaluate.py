@@ -394,6 +394,16 @@ class TestZslExperiment:
         with pytest.raises(ValueError, match="unknown method"):
             ZslExperimentConfig(methods=("conse", "sae"))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("gamma", 0.0, "gamma must be > 0"), ("gamma", -1.0, "gamma must be > 0"),
+         ("gamma", float("nan"), "gamma must be > 0"), ("conse_T", 0, "conse_T must be >= 1"),
+         ("ks", (1, 0), "K must be >= 1"), ("ks", (-2,), "K must be >= 1")],
+    )
+    def test_out_of_range_value_is_rejected_on_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ZslExperimentConfig(**{field: value})
+
     def test_table_rendering(self, clustered_small):
         config = ZslExperimentConfig(setting="zsl", **self.CONFIG)
         result = run_zsl_experiment(

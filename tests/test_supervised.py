@@ -52,6 +52,11 @@ class TestTrainSpec:
         with pytest.raises(ValueError, match="batch_size"):
             TrainSpec(batch_size=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.001, float("nan")])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be > 0"):
+            TrainSpec(learning_rate=rate)
+
 
 class TestTrainBaseline:
     def test_needs_two_labels(self, separable):

@@ -36,7 +36,6 @@ from tagrec.zsl import (
     load_zsl_bundle,
     make_conse,
     make_split,
-    rank_candidates,
     recommend,
     save_zsl_bundle,
     subset_by_labels,
@@ -625,7 +624,7 @@ def small_world():
 
 def _bundles(small_world):
     corpus, split, train, clf = small_world
-    conse = ZslBundle(method="conse", classifier=clf, head=make_conse(clf, corpus.vocab, corpus.emb), split=split)
+    conse = ZslBundle(classifier=clf, head=make_conse(clf, corpus.vocab, corpus.emb), split=split)
 
     from tagrec.supervised import extract_features_batch
 
@@ -634,15 +633,12 @@ def _bundles(small_world):
     for i, (_, lab) in enumerate(train.examples):
         Y[i, train.label_set.index(lab)] = 1.0
     A = AttributeMatrix.from_labels(train.label_set, corpus.vocab, corpus.emb)
-    eszsl = ZslBundle(
-        method="eszsl", classifier=clf, head=eszsl_fit(X, Y, A.matrix, gamma=1.0), split=split
-    )
+    eszsl = ZslBundle(classifier=clf, head=eszsl_fit(X, Y, A.matrix, gamma=1.0), split=split)
 
     S = np.stack(
         [label_embedding(lab, corpus.vocab, corpus.emb) for _, lab in train.examples]
     )
     dem = ZslBundle(
-        method="dem",
         classifier=clf,
         head=dem_fit(X.T, S, TrainSpec(epochs=30, seed=0)),
         split=split,
@@ -650,12 +646,19 @@ def _bundles(small_world):
     return conse, eszsl, dem
 
 
+def _full_ranking(bundle, tokens, candidates):
+    """Every candidate ranked by the bundle's head for one text."""
+    clf = bundle.classifier
+    attrs = AttributeMatrix.from_labels(candidates, clf.vocab, clf.emb)
+    return bundle.head.rank(clf, extract_features(clf, tokens), attrs)
+
+
 class TestRecommend:
     def test_returns_top_k_of_full_ranking(self, small_world):
         corpus, split, train, clf = small_world
         for bundle in _bundles(small_world):
             tokens = corpus.dataset.examples[0][0]
-            full = rank_candidates(bundle, tokens, split.unseen)
+            full = _full_ranking(bundle, tokens, split.unseen)
             top = recommend(bundle, tokens, split.unseen, k=1)
             assert top.ranked == full.ranked[:1]
             assert len(full.ranked) == len(split.unseen)
@@ -688,11 +691,21 @@ class TestRecommend:
         with pytest.raises(DataError, match="empty"):
             recommend(bundle, ["x"], [], k=1)
 
-    def test_unknown_method_rejected(self, small_world):
-        _, split, _, clf = small_world
-        bad = ZslBundle(method="mystery", classifier=clf, head=None, split=split)
-        with pytest.raises(ValueError, match="mystery"):
-            rank_candidates(bad, ["x"], split.unseen)
+    def test_unknown_method_rejected(self, saved_bundle, tmp_path):
+        """A bundle's method comes from its head, so only a saved bundle
+        can name an unknown one; loading it is a DataError naming the
+        file and the method, not a missing field."""
+        _, raw = saved_bundle
+        bad = tmp_path / "mystery.json"
+        bad.write_text(json.dumps({**json.loads(raw), "method": "mystery"}), encoding="ascii")
+        with pytest.raises(DataError) as info:
+            load_zsl_bundle(bad)
+        assert str(info.value) == f"{bad}: malformed bundle (unknown method 'mystery')"
+
+    def test_each_head_names_its_method(self, small_world):
+        bundles = _bundles(small_world)
+        assert zsl.METHODS == tuple(b.method for b in bundles) == ("conse", "eszsl", "dem")
+        assert all(zsl.HEADS[b.method] is type(b.head) for b in bundles)
 
 
 @pytest.fixture(scope="module")
@@ -719,8 +732,8 @@ class TestZslBundleIO:
             back = load_zsl_bundle(path)
             assert back.method == bundle.method
             assert back.split.seen == split.seen and back.split.unseen == split.unseen
-            a = rank_candidates(bundle, tokens, split.unseen).ranked
-            b = rank_candidates(back, tokens, split.unseen).ranked
+            a = _full_ranking(bundle, tokens, split.unseen).ranked
+            b = _full_ranking(back, tokens, split.unseen).ranked
             assert [lab for lab, _ in a] == [lab for lab, _ in b]
             assert [s for _, s in a] == pytest.approx([s for _, s in b], abs=1e-12)
 
@@ -756,7 +769,7 @@ class TestZslBundleIO:
         assert (old.method, old.split, old.head.T) == (new.method, new.split, new.head.T)
         assert np.array_equal(old.head.seen_embeddings.matrix, new.head.seen_embeddings.matrix)
         tokens = corpus.dataset.examples[3][0]
-        assert rank_candidates(old, tokens, split.unseen) == rank_candidates(
+        assert _full_ranking(old, tokens, split.unseen) == _full_ranking(
             new, tokens, split.unseen
         )
 
