@@ -49,6 +49,7 @@ from .ingest import (
     default_stopwords,
     extract_hashtags,
     filter_corpus,
+    first_repeat,
     is_str_list,
     load_stopwords,
     materialize_dataset,
@@ -75,8 +76,8 @@ def parse_pair(text: str) -> tuple[int, int]:
 
 def parse_list(value, item=str) -> list:
     """The items of a comma-separated string, or of a config file's JSON
-    list, each converted by item; empty items are skipped. A bad item
-    or an empty list raises a UsageError."""
+    list, each converted by item; empty items are skipped. A bad or
+    repeated item or an empty list raises a UsageError."""
     result = []
     for raw in value.split(",") if isinstance(value, str) else value:
         text = str(raw).strip()
@@ -87,6 +88,8 @@ def parse_list(value, item=str) -> list:
                 raise UsageError(f"bad list item {text!r}: {exc}") from exc
     if not result:
         raise UsageError(f"empty list {value!r}")
+    if (repeat := first_repeat(result)) is not None:
+        raise UsageError(f"repeated list item {repeat!r}")
     return result
 
 
@@ -248,6 +251,8 @@ def _load_dataset(cfg):
         labels = catalog.get("labels") if isinstance(catalog, dict) else catalog
         if not (labels and is_str_list(labels)):
             raise DataError(f"{cfg['labels']}: expected a non-empty label list")
+        if (label := first_repeat(labels)) is not None:
+            raise DataError(f"{cfg['labels']}: label {label!r} is repeated")
     else:
         labels = select_top_labels(corpus, cfg["top_n"], cfg["min_tweets"])
         if not labels:

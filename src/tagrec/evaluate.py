@@ -25,10 +25,10 @@ from .supervised import (
     train_baseline,
 )
 from .zsl import (
+    HEADS,
     METHODS,
     AttributeMatrix,
     ZslBundle,
-    fit_bundles,
     fsl_augment,
     make_split,
     subset_by_labels,
@@ -37,41 +37,9 @@ from .zsl import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class ConfusionCounts:
-    labels: list
-    tp: dict
-    fp: dict
-    fn: dict
-    total: int
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    averaging: str  # micro | macro
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
-
-@dataclass
-class HitReport:
-    hit_at: dict[int, float]  # K -> percentage in [0, 100]
-
-    def as_dict(self) -> dict:
-        return {str(k): v for k, v in sorted(self.hit_at.items())}
-
-
-def confusion_counts(y_true, y_pred) -> ConfusionCounts:
+def confusion_counts(y_true, y_pred) -> tuple[dict, dict, dict]:
+    """Per-label (tp, fp, fn) counts, each dict keyed by every label
+    of either sequence in sorted order."""
     y_true, y_pred = list(y_true), list(y_pred)
     if len(y_true) != len(y_pred) or not y_true:
         raise ValueError(
@@ -88,14 +56,14 @@ def confusion_counts(y_true, y_pred) -> ConfusionCounts:
         else:
             fp[p] += 1
             fn[t] += 1
-    return ConfusionCounts(labels=labels, tp=tp, fp=fp, fn=fn, total=len(y_true))
+    return tp, fp, fn
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def classification_metrics(y_true, y_pred, averaging: str = "micro") -> MetricsReport:
+def classification_metrics(y_true, y_pred, averaging: str = "micro") -> dict:
     """Accuracy plus precision/recall/F1 under micro or macro pooling.
 
     Micro pools TP/FP/FN over labels, which in single-label
@@ -104,33 +72,29 @@ def classification_metrics(y_true, y_pred, averaging: str = "micro") -> MetricsR
     """
     if averaging not in ("micro", "macro"):
         raise ValueError(f"averaging must be micro or macro, got {averaging!r}")
-    counts = confusion_counts(y_true, y_pred)
-    accuracy = sum(counts.tp.values()) / counts.total
+    tp, fp, fn = confusion_counts(y_true, y_pred)
+    hits = sum(tp.values())
+    # every example is a hit or a miss of its true label
+    accuracy = hits / (hits + sum(fn.values()))
     if averaging == "micro":
-        tp = sum(counts.tp.values())
-        precision = _safe_div(tp, tp + sum(counts.fp.values()))
-        recall = _safe_div(tp, tp + sum(counts.fn.values()))
+        precision = _safe_div(hits, hits + sum(fp.values()))
+        recall = _safe_div(hits, hits + sum(fn.values()))
         f1 = _safe_div(2 * precision * recall, precision + recall)
     else:
-        per_p, per_r, per_f = [], [], []
-        for label in counts.labels:
-            p = _safe_div(counts.tp[label], counts.tp[label] + counts.fp[label])
-            r = _safe_div(counts.tp[label], counts.tp[label] + counts.fn[label])
-            per_p.append(p)
-            per_r.append(r)
-            per_f.append(_safe_div(2 * p * r, p + r))
-        precision = sum(per_p) / len(per_p)
-        recall = sum(per_r) / len(per_r)
-        f1 = sum(per_f) / len(per_f)
-    return MetricsReport(
-        accuracy=accuracy, precision=precision, recall=recall, f1=f1, averaging=averaging
-    )
+        per_label = []  # (precision, recall, f1) of each label
+        for label in tp:
+            p = _safe_div(tp[label], tp[label] + fp[label])
+            r = _safe_div(tp[label], tp[label] + fn[label])
+            per_label.append((p, r, _safe_div(2 * p * r, p + r)))
+        precision, recall, f1 = (sum(col) / len(per_label) for col in zip(*per_label))
+    return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
 
 
-def flat_hit_at_k(rankings, y_true, ks=(1, 2, 5)) -> HitReport:
+def flat_hit_at_k(rankings, y_true, ks=(1, 2, 5)) -> dict[str, float]:
     """Percentage of examples whose true label sits within the top K of
-    its ranking. Each ranking must cover the same candidate set with no
-    duplicates; K beyond the candidate count is clamped."""
+    its ranking, keyed by str(K) in ascending K. Each ranking must cover
+    the same candidate set with no duplicates; K beyond the candidate
+    count is clamped."""
     rankings, y_true = [list(r) for r in rankings], list(y_true)
     if len(rankings) != len(y_true) or not y_true:
         raise ValueError(
@@ -152,7 +116,7 @@ def flat_hit_at_k(rankings, y_true, ks=(1, 2, 5)) -> HitReport:
             k_eff = n_candidates
         hits = sum(1 for ranking, t in zip(rankings, y_true) if t in ranking[:k_eff])
         hit_at[int(k)] = 100.0 * hits / len(y_true)
-    return HitReport(hit_at=hit_at)
+    return {str(k): v for k, v in sorted(hit_at.items())}
 
 
 def stratified_kfold(dataset: Dataset, k: int = 5, seed: int = 0):
@@ -226,7 +190,7 @@ def run_supervised_experiment(
         train_true = [label for _, label in train_set.examples]
         train_acc = classification_metrics(
             train_true, _predict_labels(model, train_tokens)
-        ).accuracy
+        )["accuracy"]
         test_tokens = [dataset.examples[i][0] for i in test_idx]
         test_true = [dataset.examples[i][1] for i in test_idx]
         metrics = classification_metrics(
@@ -238,7 +202,7 @@ def run_supervised_experiment(
                 "train_size": len(train_idx),
                 "test_size": len(test_idx),
                 "train_accuracy": train_acc,
-                "metrics": metrics.as_dict(),
+                "metrics": metrics,
             }
         )
     mean = {
@@ -309,9 +273,7 @@ def zsl_cells(
             shots = (config.shots_min, config.shots_max) if config.setting == "fsl" else (0, 0)
             train_set, used = fsl_augment(seen_set, unseen_pool, *shots, seed=seed)
             used_set = set(used)
-            test_examples = [
-                ex for i, ex in enumerate(unseen_pool.examples) if i not in used_set
-            ]
+            test_examples = [ex for i, ex in enumerate(unseen_pool.examples) if i not in used_set]
             if not test_examples:
                 raise DataError(
                     f"no test examples left for split {n_seen}/{n_unseen} seed {seed}"
@@ -319,28 +281,31 @@ def zsl_cells(
             test_tokens = [tokens for tokens, _ in test_examples]
             test_true = [label for _, label in test_examples]
 
-            classifier = train_baseline(
-                train_set, vocab, emb, replace(config.train, seed=seed)
-            )
+            classifier = train_baseline(train_set, vocab, emb, replace(config.train, seed=seed))
             unseen_attrs = AttributeMatrix.from_labels(split.unseen, vocab, emb)
             test_feats = extract_features_batch(classifier, test_tokens)
             test_probs = classifier.probs(test_feats)
 
-            dem_spec = replace(config.dem_train, seed=seed)
-            for bundle in fit_bundles(classifier, train_set, split, config.methods,
-                                      config.gamma, config.conse_T, dem_spec):
-                rankings = [bundle.head.rank(classifier, x, unseen_attrs, p).labels()
+            # every head fits on one feature pass over the train set and
+            # one gather of the training labels' attribute vectors
+            train_feats = extract_features_batch(classifier, [t for t, _ in train_set.examples])
+            seen_attrs = AttributeMatrix.from_labels(train_set.label_set, vocab, emb)
+            index = {label: i for i, label in enumerate(seen_attrs.labels)}
+            y = np.array([index[label] for _, label in train_set.examples])
+            cell_config = replace(config, dem_train=replace(config.dem_train, seed=seed))
+            for method in config.methods:
+                head = HEADS[method].fit(seen_attrs, train_feats, y, cell_config)
+                rankings = [head.rank(classifier, x, unseen_attrs, p).labels()
                             for x, p in zip(test_feats, test_probs)]
-                report = flat_hit_at_k(rankings, test_true, ks=config.ks)
                 cell = {
                     "split": f"{n_seen}/{n_unseen}",
-                    "method": bundle.method,
+                    "method": method,
                     "setting": config.setting,
                     "seed": seed,
                     "n_test": len(test_examples),
-                    "hit_at": report.as_dict(),
+                    "hit_at": flat_hit_at_k(rankings, test_true, ks=config.ks),
                 }
-                yield cell, bundle
+                yield cell, ZslBundle(classifier=classifier, head=head, split=split)
 
 
 def zsl_result(config: ZslExperimentConfig, cells: list[dict]) -> dict:

@@ -313,6 +313,12 @@ def is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+def first_repeat(items):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    return next((item for item in items if item in seen or seen.add(item)), None)
+
+
 def read_clean_jsonl(path) -> list[CleanTweet]:
     """Cleaned tweets as write_clean_jsonl writes them. A record that is
     not an object with a string id and lists of string tokens and labels

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import logging
 import os
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .embedding import NORM_MAX, NORM_MIN, Vocabulary, cosine
 from .errors import DataError, NotPositiveDefiniteError, NumericalError, write_json
-from .ingest import Dataset, is_str_list
+from .ingest import Dataset, first_repeat, is_str_list
 # adam_step is not called here; the name stays because perfbench's tracer
 # tests check that it is wrapped in every module that imports it
 from .numeric import adam_step, relu, train_minibatch, xavier_uniform  # noqa: F401
@@ -44,7 +43,6 @@ from .supervised import (
     bundle_fields,
     expect_shape,
     extract_features,
-    extract_features_batch,
     read_bundle,
 )
 
@@ -62,6 +60,9 @@ class ZslSplit:
             raise ValueError("both seen and unseen label lists must be non-empty")
         if set(self.seen) & set(self.unseen):
             raise ValueError("seen and unseen labels overlap")
+        for name, labels in (("seen", self.seen), ("unseen", self.unseen)):
+            if (label := first_repeat(labels)) is not None:
+                raise ValueError(f"{name} labels repeat {label!r}")
 
 
 @dataclass
@@ -88,9 +89,13 @@ class AttributeMatrix:
 
 
 # A head class is the one place its method lives: its name, its bundle
-# entry, and rank(classifier, x, attrs, probs=None), which ranks attrs'
-# candidates for one text with feature vector x (and, for ConSE, label
-# probabilities probs) through the module's ranker functions by name.
+# entry, fit(seen_attrs, feats, y, config), which fits the head on a
+# train set (the training labels' attribute matrix, one feature row per
+# example, each example's label index, and the grid config whose gamma,
+# conse_T and seeded dem_train it reads), and rank(classifier, x, attrs,
+# probs=None), which ranks attrs' candidates for one text with feature
+# vector x (and, for ConSE, label probabilities probs). Both go through
+# the module's fitter and ranker functions by name.
 
 
 @dataclass
@@ -101,6 +106,11 @@ class ConseModel:
     method = "conse"
     seen_embeddings: AttributeMatrix
     T: int
+
+    @classmethod
+    def fit(cls, seen_attrs, feats, y, config) -> "ConseModel":
+        # T defaults to every training label
+        return cls(seen_attrs, len(seen_attrs.labels) if config.conse_T is None else config.conse_T)
 
     def rank(self, classifier, x, attrs, probs=None) -> Prediction:
         if probs is None:  # computed from x unless the caller has them
@@ -131,6 +141,11 @@ class EszslModel:
     W: np.ndarray  # (p, s)
     gamma: float
 
+    @classmethod
+    def fit(cls, seen_attrs, feats, y, config) -> "EszslModel":
+        Y = np.eye(len(seen_attrs.labels))[y]  # one-hot rows
+        return eszsl_fit(feats.T, Y, seen_attrs.matrix, config.gamma)
+
     def rank(self, classifier, x, attrs, probs=None) -> Prediction:
         return eszsl_rank(self, x, attrs)
 
@@ -152,6 +167,10 @@ class DemModel:
     weights: np.ndarray  # (p, s)
     bias: np.ndarray  # (p,)
     loss_history: list[float] = field(default_factory=list)
+
+    @classmethod
+    def fit(cls, seen_attrs, feats, y, config) -> "DemModel":
+        return dem_fit(feats, seen_attrs.matrix.T[y], config.dem_train)
 
     def rank(self, classifier, x, attrs, probs=None) -> Prediction:
         return dem_rank(self, x, attrs)
@@ -390,19 +409,6 @@ def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> P
     return _ranked(unseen_attrs.labels, scores[inverse])
 
 
-def make_conse(
-    classifier: BaselineClassifier,
-    vocab: Vocabulary,
-    emb: np.ndarray,
-    T: int | None = None,
-) -> ConseModel:
-    """ConSE head over the classifier's training labels; T defaults to
-    every training label."""
-    labels = classifier.label_order
-    T = len(labels) if T is None else T
-    return ConseModel(AttributeMatrix.from_labels(labels, vocab, emb), T)
-
-
 def fsl_augment(
     train: Dataset,
     unseen_pool: Dataset,
@@ -462,42 +468,6 @@ class ZslBundle:
     @property
     def method(self) -> str:
         return self.head.method
-
-
-def fit_bundles(
-    classifier: BaselineClassifier,
-    train: Dataset,
-    split: ZslSplit | None,
-    methods,
-    gamma: float,
-    conse_T: int | None,
-    dem_spec: TrainSpec,
-) -> Iterator[ZslBundle]:
-    """Fit one head per method on the classifier's training set and
-    yield each as a ZslBundle, in method order.
-
-    ESZSL and DEM share one feature pass over the training examples,
-    and one gather of their targets from the training labels (ESZSL's
-    one-hot rows, DEM's attribute vectors), made when the first of them
-    is fitted; ConSE needs neither.
-    """
-    vocab, emb = classifier.vocab, classifier.emb
-    feats = None
-    for method in methods:
-        if method in ("eszsl", "dem") and feats is None:
-            feats = extract_features_batch(classifier, [tokens for tokens, _ in train.examples])
-            A = AttributeMatrix.from_labels(train.label_set, vocab, emb)
-            index = {label: i for i, label in enumerate(A.labels)}
-            y = np.array([index[label] for _, label in train.examples])
-        if method == "conse":
-            head = make_conse(classifier, vocab, emb, T=conse_T)
-        elif method == "eszsl":
-            head = eszsl_fit(feats.T, np.eye(len(A.labels))[y], A.matrix, gamma)
-        elif method == "dem":
-            head = dem_fit(feats, A.matrix.T[y], dem_spec)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        yield ZslBundle(classifier=classifier, head=head, split=split)
 
 
 def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:

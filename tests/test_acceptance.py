@@ -281,10 +281,10 @@ def test_04_metrics_oracle(announce):
         for averaging in ("micro", "macro"):
             m = classification_metrics(y_true, y_pred, averaging)
             want = _oracle_metrics(y_true, y_pred, averaging)
-            if (m.accuracy, m.precision, m.recall, m.f1) != want:
+            if (m["accuracy"], m["precision"], m["recall"], m["f1"]) != want:
                 bad += 1
         micro = classification_metrics(y_true, y_pred, "micro")
-        if not micro.precision == micro.recall == micro.accuracy:
+        if not micro["precision"] == micro["recall"] == micro["accuracy"]:
             identity_bad += 1
     announce(
         4,
@@ -305,13 +305,13 @@ def test_05_hit_at_k_shape(announce):
     ]
     y_true = [candidates[int(i)] for i in rng.integers(0, 5, size=200)]
     report = flat_hit_at_k(rankings, y_true, ks=(1, 2, 5))
-    monotone = report.hit_at[1] <= report.hit_at[2] <= report.hit_at[5]
-    total_recall = report.hit_at[5] == 100.0
+    monotone = report["1"] <= report["2"] <= report["5"]
+    total_recall = report["5"] == 100.0
     announce(
         5,
         "hit@K is monotone in K and reaches 100% at the candidate count",
         monotone and total_recall,
-        f"hit@1={report.hit_at[1]:.1f} hit@2={report.hit_at[2]:.1f} hit@5={report.hit_at[5]:.1f}",
+        f"hit@1={report['1']:.1f} hit@2={report['2']:.1f} hit@5={report['5']:.1f}",
     )
 
 

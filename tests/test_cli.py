@@ -199,8 +199,9 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize(
         "key, value, flag",
-        [("ks", "1,x", "1,x"), ("splits", ["4-2"], "4-2"), ("seeds", "", "")],
-        ids=["ks-bad-int", "splits-bad-pair", "seeds-empty"],
+        [("ks", "1,x", "1,x"), ("splits", ["4-2"], "4-2"), ("seeds", "", ""),
+         ("methods", ["eszsl", "eszsl"], "eszsl,eszsl")],
+        ids=["ks-bad-int", "splits-bad-pair", "seeds-empty", "methods-repeated"],
     )
     def test_malformed_list_content_is_a_data_error_from_the_file(
         self, capsys, tmp_path, key, value, flag
@@ -674,6 +675,13 @@ class TestTrainBaselineCommand:
         )
         assert code == 2 and f"data error: {catalog}: expected a non-empty label list" in err
 
+    @pytest.mark.parametrize("command", ["zsl", "eval"])
+    def test_label_catalog_that_repeats_a_label(self, capsys, tmp_path, world, command):
+        catalog = tmp_path / "labels.json"
+        catalog.write_text(json.dumps(["tag00", "tag00", "tag01"]), encoding="ascii")
+        code, _, err = run_cli([command, *world.data_flags, "--labels", str(catalog)], capsys)
+        assert code == 2 and f"data error: {catalog}: label 'tag00' is repeated" in err
+
     def test_numeric_label_in_clean_jsonl(self, capsys, tmp_path, world):
         clean = tmp_path / "clean.jsonl"
         lines = Path(world.data_flags[1]).read_text(encoding="ascii").splitlines(keepends=True)
@@ -1046,6 +1054,8 @@ BAD_BUNDLES = [
         obj, "hidden", bias=obj["classifier"]["hidden"]["bias"][:-1])),
     ("eszsl", "split-ints", lambda obj: {
         **obj, "split": {**obj["split"], "unseen": list(range(len(obj["split"]["unseen"])))}}),
+    ("dem", "split-repeats", lambda obj: {
+        **obj, "split": {**obj["split"], "unseen": obj["split"]["unseen"][:1] * 2}}),
     ("conse", "unknown-method", lambda obj: {**obj, "method": "mystery"}),
 ]
 
@@ -1075,6 +1085,12 @@ class TestBadBundles:
         capsys.readouterr()
         code, _, err = run_cli(["recommend", "--bundle", str(path), "--text", "hi"], capsys)
         assert code == 2 and f"data error: {path}" in err
+
+    def test_repeated_candidate_is_a_usage_error(self, capsys, saved_bundles):
+        code, out, err = run_cli(["recommend", "--bundle", str(saved_bundles["conse"]),
+                                  "--text", "hi", "--candidates", "tag00,tag00,tag01"], capsys)
+        assert (code, out) == (1, "")
+        assert "error: repeated list item 'tag00'" in err
 
     def test_unchanged_bundle_loads(self, capsys, saved_bundles):
         capsys.readouterr()

@@ -31,17 +31,18 @@ label_seqs = st.lists(st.sampled_from("abcd"), min_size=1, max_size=40)
 
 class TestConfusionCounts:
     def test_frozen_example(self):
-        c = confusion_counts(["a", "a", "b", "b", "c", "c"], ["a", "a", "b", "c", "c", "b"])
-        assert c.labels == ["a", "b", "c"]
-        assert c.tp == {"a": 2, "b": 1, "c": 1}
-        assert c.fp == {"a": 0, "b": 1, "c": 1}
-        assert c.fn == {"a": 0, "b": 1, "c": 1}
-        assert c.total == 6
+        tp, fp, fn = confusion_counts(
+            ["a", "a", "b", "b", "c", "c"], ["a", "a", "b", "c", "c", "b"]
+        )
+        assert list(tp) == list(fp) == list(fn) == ["a", "b", "c"]
+        assert tp == {"a": 2, "b": 1, "c": 1}
+        assert fp == {"a": 0, "b": 1, "c": 1}
+        assert fn == {"a": 0, "b": 1, "c": 1}
 
     def test_includes_labels_only_predicted(self):
-        c = confusion_counts(["a"], ["b"])
-        assert c.labels == ["a", "b"]
-        assert c.fp["b"] == 1 and c.fn["a"] == 1
+        tp, fp, fn = confusion_counts(["a"], ["b"])
+        assert list(tp) == ["a", "b"]
+        assert fp["b"] == 1 and fn["a"] == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="equal nonzero length"):
@@ -55,11 +56,10 @@ class TestClassificationMetrics:
         m = classification_metrics(
             ["a", "a", "b", "b", "c", "c"], ["a", "a", "b", "c", "c", "b"]
         )
-        assert m.accuracy == pytest.approx(4 / 6)
-        assert m.precision == pytest.approx(4 / 6)
-        assert m.recall == pytest.approx(4 / 6)
-        assert m.f1 == pytest.approx(4 / 6)
-        assert m.averaging == "micro"
+        assert m["accuracy"] == pytest.approx(4 / 6)
+        assert m["precision"] == pytest.approx(4 / 6)
+        assert m["recall"] == pytest.approx(4 / 6)
+        assert m["f1"] == pytest.approx(4 / 6)
 
     def test_macro_frozen_example(self):
         m = classification_metrics(
@@ -68,18 +68,18 @@ class TestClassificationMetrics:
             averaging="macro",
         )
         # per label P=R=F1: a -> 1, b -> 1/2, c -> 1/2
-        assert m.precision == pytest.approx(2 / 3)
-        assert m.recall == pytest.approx(2 / 3)
-        assert m.f1 == pytest.approx(2 / 3)
+        assert m["precision"] == pytest.approx(2 / 3)
+        assert m["recall"] == pytest.approx(2 / 3)
+        assert m["f1"] == pytest.approx(2 / 3)
 
     def test_macro_empty_ratios_are_zero(self):
         m = classification_metrics(["a", "a"], ["b", "b"], averaging="macro")
-        assert m.accuracy == 0.0
-        assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
+        assert m["accuracy"] == 0.0
+        assert m["precision"] == 0.0 and m["recall"] == 0.0 and m["f1"] == 0.0
 
     def test_perfect_prediction(self):
         m = classification_metrics(["a", "b"], ["a", "b"], averaging="macro")
-        assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
+        assert (m["accuracy"], m["precision"], m["recall"], m["f1"]) == (1.0, 1.0, 1.0, 1.0)
 
     def test_bad_averaging(self):
         with pytest.raises(ValueError, match="averaging"):
@@ -95,8 +95,8 @@ class TestClassificationMetrics:
             )
         )
         m = classification_metrics(y_true, y_pred)
-        assert m.precision == m.recall == m.accuracy
-        assert m.f1 == pytest.approx(m.accuracy)
+        assert m["precision"] == m["recall"] == m["accuracy"]
+        assert m["f1"] == pytest.approx(m["accuracy"])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -119,9 +119,9 @@ class TestClassificationMetrics:
             ps.append(p)
             rs.append(r)
             fs.append(2 * p * r / (p + r) if p + r else 0.0)
-        assert m.precision == pytest.approx(sum(ps) / len(ps))
-        assert m.recall == pytest.approx(sum(rs) / len(rs))
-        assert m.f1 == pytest.approx(sum(fs) / len(fs))
+        assert m["precision"] == pytest.approx(sum(ps) / len(ps))
+        assert m["recall"] == pytest.approx(sum(rs) / len(rs))
+        assert m["f1"] == pytest.approx(sum(fs) / len(fs))
 
 
 class TestFlatHitAtK:
@@ -133,23 +133,23 @@ class TestFlatHitAtK:
 
     def test_frozen_example(self):
         report = flat_hit_at_k(self.RANKINGS, ["t", "t", "t"], ks=(1, 2, 5))
-        assert report.hit_at[1] == pytest.approx(100 / 3)
-        assert report.hit_at[2] == pytest.approx(100 / 3)
-        assert report.hit_at[5] == pytest.approx(200 / 3)
+        assert report["1"] == pytest.approx(100 / 3)
+        assert report["2"] == pytest.approx(100 / 3)
+        assert report["5"] == pytest.approx(200 / 3)
 
     def test_k_equal_candidate_count_is_total_recall(self):
         report = flat_hit_at_k(self.RANKINGS, ["t", "t", "t"], ks=(6,))
-        assert report.hit_at[6] == 100.0
+        assert report["6"] == 100.0
 
     def test_clamps_large_k_with_warning(self, caplog):
         with caplog.at_level("WARNING", logger="tagrec.evaluate"):
             report = flat_hit_at_k(self.RANKINGS, ["t", "t", "t"], ks=(9,))
-        assert report.hit_at[9] == 100.0
+        assert report["9"] == 100.0
         assert any("clamped" in r.getMessage() for r in caplog.records)
 
-    def test_as_dict_uses_string_keys_sorted(self):
+    def test_uses_string_keys_sorted(self):
         report = flat_hit_at_k(self.RANKINGS, ["t", "t", "t"], ks=(5, 1))
-        assert list(report.as_dict()) == ["1", "5"]
+        assert list(report) == ["1", "5"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="equally many"):
@@ -171,14 +171,14 @@ class TestFlatHitAtK:
         y_true = [candidates[int(rng.integers(0, n))] for _ in range(m)]
         ks = tuple(range(1, n + 1))
         report = flat_hit_at_k(rankings, y_true, ks=ks)
-        values = [report.hit_at[k] for k in ks]
+        values = [report[str(k)] for k in ks]
         assert values == sorted(values)
         assert values[-1] == 100.0
 
     def test_order_of_examples_is_irrelevant(self):
         y = ["t", "t", "t"]
-        a = flat_hit_at_k(self.RANKINGS, y, ks=(1, 2)).hit_at
-        b = flat_hit_at_k(self.RANKINGS[::-1], y, ks=(1, 2)).hit_at
+        a = flat_hit_at_k(self.RANKINGS, y, ks=(1, 2))
+        b = flat_hit_at_k(self.RANKINGS[::-1], y, ks=(1, 2))
         assert a == b
 
 

@@ -2,6 +2,7 @@
 embedding, bilinear closed form, learned attribute mapper), few-shot
 augmentation, and the recommendation bundle format."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -21,6 +22,7 @@ from tagrec.supervised import TrainSpec, extract_features, train_baseline
 from tagrec.synthetic import make_clustered_corpus
 from tagrec.zsl import (
     AttributeMatrix,
+    ConseModel,
     DemModel,
     EszslModel,
     ZslBundle,
@@ -34,7 +36,6 @@ from tagrec.zsl import (
     eszsl_rank,
     fsl_augment,
     load_zsl_bundle,
-    make_conse,
     make_split,
     recommend,
     save_zsl_bundle,
@@ -90,6 +91,10 @@ class TestMakeSplit:
             ZslSplit(seen=["a", "b"], unseen=["b"], seed=0)
         with pytest.raises(ValueError, match="non-empty"):
             ZslSplit(seen=[], unseen=["a"], seed=0)
+        with pytest.raises(ValueError, match="seen labels repeat 'a'"):
+            ZslSplit(seen=["a", "b", "a"], unseen=["c"], seed=0)
+        with pytest.raises(ValueError, match="unseen labels repeat 'c'"):
+            ZslSplit(seen=["a"], unseen=["c", "c"], seed=0)
 
 
 class TestSubsetByLabels:
@@ -624,7 +629,8 @@ def small_world():
 
 def _bundles(small_world):
     corpus, split, train, clf = small_world
-    conse = ZslBundle(classifier=clf, head=make_conse(clf, corpus.vocab, corpus.emb), split=split)
+    A = AttributeMatrix.from_labels(train.label_set, corpus.vocab, corpus.emb)
+    conse = ZslBundle(classifier=clf, head=ConseModel(A, T=len(A.labels)), split=split)
 
     from tagrec.supervised import extract_features_batch
 
@@ -632,7 +638,6 @@ def _bundles(small_world):
     Y = np.zeros((len(train.examples), len(train.label_set)))
     for i, (_, lab) in enumerate(train.examples):
         Y[i, train.label_set.index(lab)] = 1.0
-    A = AttributeMatrix.from_labels(train.label_set, corpus.vocab, corpus.emb)
     eszsl = ZslBundle(classifier=clf, head=eszsl_fit(X, Y, A.matrix, gamma=1.0), split=split)
 
     S = np.stack(
@@ -706,6 +711,29 @@ class TestRecommend:
         bundles = _bundles(small_world)
         assert zsl.METHODS == tuple(b.method for b in bundles) == ("conse", "eszsl", "dem")
         assert all(zsl.HEADS[b.method] is type(b.head) for b in bundles)
+
+    def test_method_names_appear_only_on_their_head_class(self):
+        """Only a head class's `method = "..."` line spells its method's
+        name as a string: everything else reaches a head through HEADS
+        or the head itself, so no code branches on a name."""
+        allowed, found = set(), []
+        for path in sorted(Path(zsl.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    for stmt in node.body:
+                        value = getattr(stmt, "value", None)
+                        if (isinstance(stmt, ast.Assign)
+                                and [ast.unparse(t) for t in stmt.targets] == ["method"]
+                                and isinstance(value, ast.Constant)
+                                and getattr(zsl.HEADS.get(value.value), "__name__", None)
+                                == node.name):
+                            allowed.add(value)
+            found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and node.value in zsl.METHODS
+                      and node not in allowed]
+        assert len(allowed) == len(zsl.METHODS)
+        assert found == []
 
 
 @pytest.fixture(scope="module")
