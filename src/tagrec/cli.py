@@ -274,8 +274,8 @@ def cmd_ingest(cfg: dict) -> int:
         raise DataError(f"{cfg['input']}: no input records")
     stopwords = _stopword_set(cfg["stopwords"])
     corpus = filter_corpus(records, stopwords)
-    write_clean_jsonl(corpus.tweets, cfg["out"])
     labels = select_top_labels(corpus, cfg["top_n"], cfg["min_tweets"])
+    write_clean_jsonl(corpus.tweets, cfg["out"])
     labels_path = cfg["labels_out"] or _derived_path(cfg["out"], "labels.json")
     report_path = cfg["report_out"] or _derived_path(cfg["out"], "report.json")
     write_json(

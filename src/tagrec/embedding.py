@@ -12,7 +12,8 @@ exchanged in the word2vec text format ("V d" header, then one
 "token v1 ... vd" row per word). The commands that write an artifact
 naming an embedding file also keep its binary twin (TWIN_SUFFIX), which
 load_embeddings reads instead of parsing the text while the twin
-records the text's sha256.
+records the text's sha256. Every load of one twin shares one read-only
+embedding for as long as any caller holds it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import shutil
 import stat
 import tempfile
+import weakref
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
@@ -410,6 +412,13 @@ def _read_twin(twin: str, digest: str) -> tuple[Vocabulary, np.ndarray] | None:
     return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
 
 
+# what a read twin holds, while any caller holds it, keyed by the text's
+# sha256 and the twin's (st_dev, st_ino, st_size, st_mtime_ns): a twin
+# that has been rewritten since is read again
+_SHARED_VOCABS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHARED_VECTORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def load_embeddings(path, digest: str | None = None) -> tuple[Vocabulary, np.ndarray]:
     """A word2vec text file's vocabulary and (V, d) word vectors, read
     from its twin when the twin records the file's sha256 and parsed
@@ -418,14 +427,28 @@ def load_embeddings(path, digest: str | None = None) -> tuple[Vocabulary, np.nda
     exists and no digest is given. A twin that records the sha256 but
     is damaged raises a DataError naming it. Counts are not part of
     either format, so every loaded token gets frequency 1.
+
+    Loads of one unchanged twin return the same Vocabulary and the same
+    read-only matrix, so bundles over one embedding hold one copy.
     """
     _require_regular_file(path)
     twin = f"{os.fspath(path)}{TWIN_SUFFIX}"
-    if os.path.exists(twin):
-        loaded = _read_twin(twin, digest or file_sha256(path))
-        if loaded is not None:
-            return loaded
-    return _parse_word2vec(path)
+    try:
+        info = os.stat(twin)
+    except OSError:
+        return _parse_word2vec(path)
+    digest = digest or file_sha256(path)
+    key = (digest, info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+    vocab, vectors = _SHARED_VOCABS.get(key), _SHARED_VECTORS.get(key)
+    if vocab is not None and vectors is not None:
+        return vocab, vectors
+    loaded = _read_twin(twin, digest)
+    if loaded is None:
+        return _parse_word2vec(path)
+    vocab, vectors = loaded
+    vectors.flags.writeable = False
+    _SHARED_VOCABS[key], _SHARED_VECTORS[key] = vocab, vectors
+    return vocab, vectors
 
 
 def write_twin(path, vocab: Vocabulary, vectors: np.ndarray, digest: str) -> None:

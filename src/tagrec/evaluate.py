@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import Vocabulary
 from .errors import DataError
-from .ingest import Dataset
+from .ingest import Dataset, first_repeat
 from .supervised import (
     BaselineClassifier,
     TrainSpec,
@@ -237,6 +237,11 @@ class ZslExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        lists = {"splits": [tuple(pair) for pair in self.splits], "methods": self.methods,
+                 "seeds": self.seeds, "ks": self.ks}
+        for name, items in lists.items():
+            if (repeat := first_repeat(items)) is not None:
+                raise ValueError(f"{name} repeat {repeat!r}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.conse_T is not None and self.conse_T < 1:

@@ -19,13 +19,21 @@ columns to score bit-identically, which a BLAS product does not
 promise: ConSE and ESZSL sum an elementwise product over the attribute
 axis, where every column goes through the same IEEE operations, and
 DEM maps each distinct column once and shares its score.
+
+What a ranker derives from the candidate set alone is computed once per
+candidate set: from_labels returns the previous AttributeMatrix for the
+same read-only embedding and labels, which keeps its column norms and
+distinct columns, and a DemModel keeps its mapped candidates for the
+AttributeMatrix it last ranked.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import weakref
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +73,16 @@ class ZslSplit:
                 raise ValueError(f"{name} labels repeat {label!r}")
 
 
+# the last AttributeMatrix from_labels built over a read-only embedding:
+# [(weakref to vocab, weakref to emb, its labels, the AttributeMatrix)]
+_LAST_ATTRIBUTES: list = []
+
+
 @dataclass
 class AttributeMatrix:
-    """Per-label attribute vectors as columns, in label order."""
+    """Per-label attribute vectors as columns, in label order. What the
+    rankers derive from the columns alone is computed on first use and
+    kept, so the matrix must not change after that."""
 
     matrix: np.ndarray  # (s, n_labels)
     labels: list[str]
@@ -76,8 +91,17 @@ class AttributeMatrix:
     def from_labels(cls, labels, vocab: Vocabulary, emb: np.ndarray) -> "AttributeMatrix":
         """Each label's column is the embedding row of the token
         '#<label>'. A label whose token is not in the vocabulary raises
-        a DataError; the caller must restrict the label set instead."""
+        a DataError; the caller must restrict the label set instead.
+
+        Over a read-only emb, a call with the vocab, emb and labels of
+        the previous such call returns the same AttributeMatrix, whose
+        matrix is read-only."""
         labels = list(labels)
+        read_only = not emb.flags.writeable
+        if read_only and _LAST_ATTRIBUTES:
+            vocab_ref, emb_ref, last_labels, attrs = _LAST_ATTRIBUTES[0]
+            if vocab_ref() is vocab and emb_ref() is emb and last_labels == labels:
+                return attrs
         try:
             rows = [vocab.index["#" + label] for label in labels]
         except KeyError as exc:
@@ -85,7 +109,22 @@ class AttributeMatrix:
             raise DataError(
                 f"label {token[1:]!r} has no embedding: token {token!r} not in vocabulary"
             ) from None
-        return cls(matrix=emb[rows].T, labels=labels)
+        attrs = cls(matrix=emb[rows].T, labels=labels)
+        if read_only:
+            attrs.matrix.flags.writeable = False
+            _LAST_ATTRIBUTES[:] = [(weakref.ref(vocab), weakref.ref(emb), list(labels), attrs)]
+        return attrs
+
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """Each column's Euclidean norm, as ConSE's cosine divides by it."""
+        A = self.matrix
+        return np.sqrt((A * A).sum(axis=0))
+
+    @cached_property
+    def distinct_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """_distinct_columns of the matrix, as DEM maps them."""
+        return _distinct_columns(self.matrix)
 
 
 # A head class is the one place its method lives: its name, its bundle
@@ -167,6 +206,9 @@ class DemModel:
     weights: np.ndarray  # (p, s)
     bias: np.ndarray  # (p,)
     loss_history: list[float] = field(default_factory=list)
+    # (the AttributeMatrix last ranked, its mapped distinct columns);
+    # the weights must not change while it is held
+    _mapped = None
 
     @classmethod
     def fit(cls, seen_attrs, feats, y, config) -> "DemModel":
@@ -174,6 +216,20 @@ class DemModel:
 
     def rank(self, classifier, x, attrs, probs=None) -> Prediction:
         return dem_rank(self, x, attrs)
+
+    def mapped(self, attrs: AttributeMatrix) -> np.ndarray:
+        """relu(weights @ a + bias) for each distinct column a of attrs,
+        one row each, kept for the last attrs asked for."""
+        if self._mapped is None or self._mapped[0] is not attrs:
+            # BLAS does not promise equal rounding for equal columns of
+            # one product, so every distinct column is mapped once, in
+            # one GEMM: exact ties stay exact
+            firsts, _ = attrs.distinct_columns
+            M = attrs.matrix[:, firsts].T @ self.weights.T
+            M += self.bias
+            np.maximum(M, 0.0, out=M)
+            self._mapped = (attrs, M)
+        return self._mapped[1]
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
@@ -209,7 +265,7 @@ class Prediction:
 
 def _ranked(labels, scores: np.ndarray) -> Prediction:
     order = np.lexsort((np.arange(len(scores)), -scores))
-    return Prediction(ranked=list(zip([labels[i] for i in order], scores[order].tolist())))
+    return Prediction(ranked=list(zip([labels[i] for i in order.tolist()], scores[order].tolist())))
 
 
 def _column_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -271,7 +327,7 @@ def conse_rank(f_x: np.ndarray, unseen_embeddings: AttributeMatrix) -> Predictio
     nf = np.linalg.norm(f)
     if nf == 0.0:
         return _ranked(unseen_embeddings.labels, np.zeros(A.shape[1]))
-    norms = np.sqrt((A * A).sum(axis=0))
+    norms = unseen_embeddings.column_norms
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _column_dots(A, f) / (norms * nf)
     if NORM_MIN <= nf <= NORM_MAX:
@@ -392,21 +448,23 @@ def _distinct_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first]
 
 
+# mapped candidates per block of dem_rank's distances: 64 rows of 1,024
+# features are 512 KiB
+DEM_BLOCK_ROWS = 64
+
+
 def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by ascending Euclidean distance between x and each
     mapped attribute vector; score is the negated distance."""
-    # BLAS does not promise equal rounding for equal columns of one
-    # product, so identical columns are collapsed first and every
-    # distinct column is mapped once, in one GEMM: exact ties stay exact
-    A = unseen_attrs.matrix
-    firsts, inverse = _distinct_columns(A)
-    # one row per distinct column, updated in place: relu(W a + b) - x
-    diff = A[:, firsts].T @ model.weights.T
-    diff += model.bias
-    np.maximum(diff, 0.0, out=diff)
-    diff -= x
-    scores = -np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return _ranked(unseen_attrs.labels, scores[inverse])
+    M = model.mapped(unseen_attrs)
+    squared = np.empty(len(M))
+    diff = np.empty((min(DEM_BLOCK_ROWS, len(M)), M.shape[1]))
+    for start in range(0, len(M), DEM_BLOCK_ROWS):
+        rows = M[start : start + DEM_BLOCK_ROWS]
+        block = np.subtract(rows, x, out=diff[: len(rows)])
+        squared[start : start + len(rows)] = np.einsum("ij,ij->i", block, block)
+    _, inverse = unseen_attrs.distinct_columns
+    return _ranked(unseen_attrs.labels, -np.sqrt(squared)[inverse])
 
 
 def fsl_augment(

@@ -287,6 +287,13 @@ class TestIngestCommand:
             in out
         )
 
+    def test_zero_top_n_fails_before_writing_anything(self, capsys, tmp_path):
+        emb_corpus = tmp_path / "emb_corpus.txt"
+        code, _, err = run_cli(ingest_argv(tmp_path, top_n=0, emb_corpus=emb_corpus), capsys)
+        assert code == 1
+        assert "n must be >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_clean_output_matches_golden_bytes(self, capsys, tmp_path):
         code, _, _ = run_cli(ingest_argv(tmp_path, min_tweets=3), capsys)
         assert code == 0

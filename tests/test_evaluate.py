@@ -398,7 +398,10 @@ class TestZslExperiment:
         "field, value, message",
         [("gamma", 0.0, "gamma must be > 0"), ("gamma", -1.0, "gamma must be > 0"),
          ("gamma", float("nan"), "gamma must be > 0"), ("conse_T", 0, "conse_T must be >= 1"),
-         ("ks", (1, 0), "K must be >= 1"), ("ks", (-2,), "K must be >= 1")],
+         ("ks", (1, 0), "K must be >= 1"), ("ks", (-2,), "K must be >= 1"),
+         ("methods", ("conse", "dem", "conse"), "methods repeat 'conse'"),
+         ("seeds", (0, 0), "seeds repeat 0"), ("ks", (1, 2, 1), "ks repeat 1"),
+         ("splits", [(4, 2), [4, 2]], r"splits repeat \(4, 2\)")],
     )
     def test_out_of_range_value_is_rejected_on_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):

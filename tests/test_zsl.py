@@ -3,6 +3,7 @@ embedding, bilinear closed form, learned attribute mapper), few-shot
 augmentation, and the recommendation bundle format."""
 
 import ast
+import gc
 import importlib.util
 import json
 import sys
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tagrec import supervised, zsl
-from tagrec.embedding import cosine, save_embeddings
+from tagrec import embedding, supervised, zsl
+from tagrec.embedding import Vocabulary, cosine, file_sha256, save_embeddings, write_twin
 from tagrec.errors import DataError, NotPositiveDefiniteError, NumericalError
 from tagrec.ingest import Dataset
 from tagrec.supervised import TrainSpec, extract_features, train_baseline
@@ -535,6 +536,89 @@ class TestRankersAtScale:
         assert pred.ranked == [(label, 0.0) for label in "dcba"]
 
 
+def _bits(prediction):
+    return [(label, score.hex()) for label, score in prediction.ranked]
+
+
+@st.composite
+def _candidate_sets(draw):
+    """A read-only embedding of '#t<i>' tokens, some rows copies of
+    others with the signs of their zeros flipped, a sequence of candidate
+    row lists over it (some the previous list again), and the parameters
+    of ConSE's combined embedding, one ESZSL head and two DEM heads."""
+    s, V, p = draw(st.integers(1, 6)), draw(st.integers(1, 80)), draw(st.integers(1, 8))
+
+    def floats(*shape):
+        return draw(hnp.arrays(float, shape, elements=st.one_of(_MAGNITUDES, st.just(-0.0))))
+
+    emb = floats(V, s)
+    row = st.integers(0, V - 1)
+    for src, dst in draw(st.lists(st.tuples(row, row), max_size=8)):
+        emb[dst] = emb[src]
+        if draw(st.booleans()):
+            emb[dst, emb[dst] == 0.0] *= -1.0
+    emb.flags.writeable = False
+    row_lists = []
+    for _ in range(draw(st.integers(1, 5))):
+        if row_lists and draw(st.booleans()):
+            row_lists.append(list(row_lists[-1]))
+        else:
+            row_lists.append(draw(st.lists(row, min_size=1, max_size=V, unique=True)))
+    heads = floats(s), floats(p, s), floats(p, s), floats(p), floats(p, s), floats(p), floats(p)
+    return emb, row_lists, heads
+
+
+class TestCandidateSetOnce:
+    """The candidate side is prepared once per candidate set and rankings
+    stay bit-identical to a computation that starts from nothing."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_candidate_sets())
+    def test_memoized_rankings_equal_a_fresh_computation(self, instance):
+        emb, row_lists, (f, W, W1, b1, W2, b2, x) = instance
+        tokens = [f"#t{i}" for i in range(len(emb))]
+        vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens),
+                           index={t: i for i, t in enumerate(tokens)})
+        eszsl = EszslModel(W=W, gamma=1.0)
+        dems = [DemModel(weights=W1, bias=b1), DemModel(weights=W2, bias=b2)]
+        previous = None
+        for rows in row_lists:
+            labels = [tokens[r][1:] for r in rows]
+            attrs = AttributeMatrix.from_labels(labels, vocab, emb)
+            assert (attrs is previous) == (previous is not None and previous.labels == labels)
+            previous = attrs
+            # two DEM heads over one AttributeMatrix, then the first again
+            got = [conse_rank(f, attrs), eszsl_rank(eszsl, x, attrs)]
+            got += [dem_rank(model, x, attrs) for model in dems + dems[:1]]
+
+            A = emb[rows].T
+            want = [_bits(conse_rank(f, AttributeMatrix(matrix=A, labels=labels))),
+                    _bits(eszsl_rank(eszsl, x, AttributeMatrix(matrix=A, labels=labels)))]
+            firsts, inverse = distinct_columns_reference(A)
+            for model in dems + dems[:1]:
+                # every distinct column mapped in one GEMM, every row's
+                # distance in one einsum
+                diff = np.maximum(A[:, firsts].T @ model.weights.T + model.bias, 0.0) - x
+                scores = (-np.sqrt(np.einsum("ij,ij->i", diff, diff)))[inverse].tolist()
+                want.append([(label, scores[labels.index(label)].hex())
+                             for label in ranked_reference(labels, scores)])
+            assert [_bits(p) for p in got] == want
+
+    def test_a_writable_embedding_is_gathered_every_time(self, rng):
+        vocab = Vocabulary(tokens=["#a", "#b"], counts=[1, 1], index={"#a": 0, "#b": 1})
+        emb = rng.standard_normal((2, 3))
+        first = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        emb[1] = 0.0
+        second = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        assert second is not first and not second.matrix[:, 0].any()
+        emb.flags.writeable = False
+        third = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        assert AttributeMatrix.from_labels(["b", "a"], vocab, emb) is third
+        assert AttributeMatrix.from_labels(["a", "b"], vocab, emb) is not third
+        with pytest.raises(ValueError, match="read-only"):
+            third.matrix[0, 0] = 1.0
+
+
 class TestFslAugment:
     def _pools(self):
         train = Dataset(
@@ -748,7 +832,34 @@ def saved_bundle(small_world, tmp_path_factory):
     return path, path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def twin_bundle_paths(small_world, tmp_path_factory):
+    """The three bundles saved over one embedding file that has a twin."""
+    corpus = small_world[0]
+    root = tmp_path_factory.mktemp("twin")
+    emb_path = root / "vectors.txt"
+    save_embeddings(corpus.emb, corpus.vocab, emb_path)
+    write_twin(emb_path, corpus.vocab, corpus.emb, file_sha256(emb_path))
+    paths = []
+    for bundle in _bundles(small_world):
+        paths.append(root / f"{bundle.method}.json")
+        save_zsl_bundle(bundle, paths[-1], str(emb_path))
+    return paths
+
+
 class TestZslBundleIO:
+    def test_bundles_over_one_embedding_share_it_read_only(self, twin_bundle_paths):
+        bundles = [load_zsl_bundle(path) for path in twin_bundle_paths]
+        first = bundles[0].classifier
+        for bundle in bundles[1:]:
+            assert bundle.classifier.emb is first.emb
+            assert bundle.classifier.vocab is first.vocab
+        with pytest.raises(ValueError, match="read-only"):
+            first.emb[0, 0] = 1.0
+        del bundles, bundle, first
+        gc.collect()
+        assert not embedding._SHARED_VECTORS and not embedding._SHARED_VOCABS
+
     def test_round_trip_preserves_rankings(self, small_world, tmp_path):
         corpus, split, _, clf = small_world
         emb_path = tmp_path / "vectors.txt"
@@ -836,11 +947,16 @@ class TestTraceContract:
     `AttributeMatrix.from_labels` and ranker calls; serving must keep
     making those calls once per text."""
 
-    def test_recommend_makes_one_traced_gather_and_rank(self, small_world, monkeypatch):
+    def test_recommend_makes_one_traced_gather_and_rank(
+        self, small_world, twin_bundle_paths, monkeypatch
+    ):
+        """Every call, also one whose candidate set was prepared by the
+        call before it over a shared read-only embedding."""
         corpus, split, _, _ = small_world
         candidates = list(corpus.dataset.label_set)
         tokens = corpus.dataset.examples[5][0]
-        bundles = _bundles(small_world)
+        loaded = [load_zsl_bundle(path) for path in twin_bundle_paths]
+        bundles = [bundle for bundle in [*_bundles(small_world), *loaded] for _ in range(2)]
         tracer = _perfbench_tracer(monkeypatch).Tracer()
         tracer.install()
         try:
