@@ -446,7 +446,11 @@ def load_embeddings(path, digest: str | None = None) -> tuple[Vocabulary, np.nda
     if loaded is None:
         return _parse_word2vec(path)
     vocab, vectors = loaded
-    vectors.flags.writeable = False
+    # np.load's matrix views the 1-D array it read into: freeze both
+    array = vectors
+    while isinstance(array, np.ndarray):
+        array.flags.writeable = False
+        array = array.base
     _SHARED_VOCABS[key], _SHARED_VECTORS[key] = vocab, vectors
     return vocab, vectors
 

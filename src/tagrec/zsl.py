@@ -22,9 +22,10 @@ DEM maps each distinct column once and shares its score.
 
 What a ranker derives from the candidate set alone is computed once per
 candidate set: from_labels returns the previous AttributeMatrix for the
-same read-only embedding and labels, which keeps its column norms and
-distinct columns, and a DemModel keeps its mapped candidates for the
-AttributeMatrix it last ranked.
+same frozen (read-only) embedding and labels, an AttributeMatrix is
+read-only and keeps its column norms and distinct columns, and a
+DemModel keeps its mapped candidates for the AttributeMatrix it last
+ranked.
 """
 
 from __future__ import annotations
@@ -73,16 +74,27 @@ class ZslSplit:
                 raise ValueError(f"{name} labels repeat {label!r}")
 
 
-# the last AttributeMatrix from_labels built over a read-only embedding:
+# the last AttributeMatrix from_labels built over a frozen embedding:
 # [(weakref to vocab, weakref to emb, its labels, the AttributeMatrix)]
 _LAST_ATTRIBUTES: list = []
+
+
+def _frozen(a) -> bool:
+    """Whether a and every array it views are read-only, down to the one
+    that owns the memory, so that no array can change a's values."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 @dataclass
 class AttributeMatrix:
     """Per-label attribute vectors as columns, in label order. What the
     rankers derive from the columns alone is computed on first use and
-    kept, so the matrix must not change after that."""
+    kept, so the matrix must not change after that; from_labels returns
+    it read-only."""
 
     matrix: np.ndarray  # (s, n_labels)
     labels: list[str]
@@ -93,12 +105,13 @@ class AttributeMatrix:
         '#<label>'. A label whose token is not in the vocabulary raises
         a DataError; the caller must restrict the label set instead.
 
-        Over a read-only emb, a call with the vocab, emb and labels of
-        the previous such call returns the same AttributeMatrix, whose
-        matrix is read-only."""
+        The matrix is a read-only copy of the rows. Over a frozen emb
+        (read-only down to the array that owns its memory), a call with
+        the vocab, emb and labels of the previous such call returns the
+        same AttributeMatrix."""
         labels = list(labels)
-        read_only = not emb.flags.writeable
-        if read_only and _LAST_ATTRIBUTES:
+        shared = _frozen(emb)
+        if shared and _LAST_ATTRIBUTES:
             vocab_ref, emb_ref, last_labels, attrs = _LAST_ATTRIBUTES[0]
             if vocab_ref() is vocab and emb_ref() is emb and last_labels == labels:
                 return attrs
@@ -110,8 +123,8 @@ class AttributeMatrix:
                 f"label {token[1:]!r} has no embedding: token {token!r} not in vocabulary"
             ) from None
         attrs = cls(matrix=emb[rows].T, labels=labels)
-        if read_only:
-            attrs.matrix.flags.writeable = False
+        attrs.matrix.flags.writeable = False
+        if shared:
             _LAST_ATTRIBUTES[:] = [(weakref.ref(vocab), weakref.ref(emb), list(labels), attrs)]
         return attrs
 
@@ -220,16 +233,20 @@ class DemModel:
     def mapped(self, attrs: AttributeMatrix) -> np.ndarray:
         """relu(weights @ a + bias) for each distinct column a of attrs,
         one row each, kept for the last attrs asked for."""
-        if self._mapped is None or self._mapped[0] is not attrs:
-            # BLAS does not promise equal rounding for equal columns of
-            # one product, so every distinct column is mapped once, in
-            # one GEMM: exact ties stay exact
-            firsts, _ = attrs.distinct_columns
-            M = attrs.matrix[:, firsts].T @ self.weights.T
-            M += self.bias
-            np.maximum(M, 0.0, out=M)
-            self._mapped = (attrs, M)
-        return self._mapped[1]
+        kept = self._mapped
+        if kept is not None and kept[0] is attrs:
+            return kept[1]
+        # the last set's mapped matrix is let go before this one is built
+        self._mapped = None
+        # BLAS does not promise equal rounding for equal columns of one
+        # product, so every distinct column is mapped once, in one GEMM:
+        # exact ties stay exact
+        firsts, _ = attrs.distinct_columns
+        M = attrs.matrix[:, firsts].T @ self.weights.T
+        M += self.bias
+        np.maximum(M, 0.0, out=M)
+        self._mapped = (attrs, M)
+        return M
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
@@ -448,23 +465,12 @@ def _distinct_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first]
 
 
-# mapped candidates per block of dem_rank's distances: 64 rows of 1,024
-# features are 512 KiB
-DEM_BLOCK_ROWS = 64
-
-
 def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
     """Candidates by ascending Euclidean distance between x and each
     mapped attribute vector; score is the negated distance."""
-    M = model.mapped(unseen_attrs)
-    squared = np.empty(len(M))
-    diff = np.empty((min(DEM_BLOCK_ROWS, len(M)), M.shape[1]))
-    for start in range(0, len(M), DEM_BLOCK_ROWS):
-        rows = M[start : start + DEM_BLOCK_ROWS]
-        block = np.subtract(rows, x, out=diff[: len(rows)])
-        squared[start : start + len(rows)] = np.einsum("ij,ij->i", block, block)
+    diff = model.mapped(unseen_attrs) - x
     _, inverse = unseen_attrs.distinct_columns
-    return _ranked(unseen_attrs.labels, -np.sqrt(squared)[inverse])
+    return _ranked(unseen_attrs.labels, -np.sqrt(np.einsum("ij,ij->i", diff, diff))[inverse])
 
 
 def fsl_augment(

@@ -611,6 +611,16 @@ class TestCandidateSetOnce:
         emb[1] = 0.0
         second = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
         assert second is not first and not second.matrix[:, 0].any()
+        for attrs in (first, second):
+            with pytest.raises(ValueError, match="read-only"):
+                attrs.matrix[0, 0] = 1.0
+        # a read-only view of a writable array can still change under it
+        view = emb[:]
+        view.flags.writeable = False
+        before = AttributeMatrix.from_labels(["b", "a"], vocab, view)
+        emb[1] = 1.0
+        after = AttributeMatrix.from_labels(["b", "a"], vocab, view)
+        assert after is not before and (after.matrix[:, 0] == 1.0).all()
         emb.flags.writeable = False
         third = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
         assert AttributeMatrix.from_labels(["b", "a"], vocab, emb) is third
@@ -856,7 +866,12 @@ class TestZslBundleIO:
             assert bundle.classifier.vocab is first.vocab
         with pytest.raises(ValueError, match="read-only"):
             first.emb[0, 0] = 1.0
-        del bundles, bundle, first
+        # the shared matrix is frozen down to the array np.load read into,
+        # so its candidate sets are prepared once
+        labels = bundles[0].split.unseen
+        attrs = AttributeMatrix.from_labels(labels, first.vocab, first.emb)
+        assert AttributeMatrix.from_labels(labels, first.vocab, first.emb) is attrs
+        del bundles, bundle, first, attrs
         gc.collect()
         assert not embedding._SHARED_VECTORS and not embedding._SHARED_VOCABS
 
