@@ -300,7 +300,8 @@ def zsl_cells(
             cell_config = replace(config, dem_train=replace(config.dem_train, seed=seed))
             for method in config.methods:
                 head = HEADS[method].fit(seen_attrs, train_feats, y, cell_config)
-                rankings = [head.rank(classifier, x, unseen_attrs, p).labels()
+                candidates = head.prepare(unseen_attrs)
+                rankings = [head.rank(classifier, x, candidates, p).labels()
                             for x, p in zip(test_feats, test_probs)]
                 cell = {
                     "split": f"{n_seen}/{n_unseen}",

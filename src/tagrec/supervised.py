@@ -218,6 +218,15 @@ def bundle_fields(path):
 def expect_shape(name: str, array: np.ndarray, shape: tuple) -> None:
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():  # JSON's NaN, Infinity and 1e999 all parse
+        raise ValueError(f"{name} has a non-finite entry")
+
+
+def expect_int(name: str, value) -> int:
+    """value, which must be a JSON integer: int() would take 1.7, "2" and true."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def baseline_from_bundle_dict(obj: dict, base_dir: str = ".") -> BaselineClassifier:

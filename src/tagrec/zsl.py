@@ -20,21 +20,18 @@ promise: ConSE and ESZSL sum an elementwise product over the attribute
 axis, where every column goes through the same IEEE operations, and
 DEM maps each distinct column once and shares its score.
 
-What a ranker derives from the candidate set alone is computed once per
-candidate set: from_labels returns the previous AttributeMatrix for the
-same frozen (read-only) embedding and labels, an AttributeMatrix is
-read-only and keeps its column norms and distinct columns, and a
-DemModel keeps its mapped candidates for the AttributeMatrix it last
-ranked.
+What a ranker reads of a candidate set alone is prepared once per set:
+each head's prepare(attrs) returns it, and its rank takes that prepared
+set. The grid prepares each cell's unseen labels once; recommend keeps
+the last set it prepared on the bundle, and from_labels hands back that
+set's AttributeMatrix for equal labels.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import weakref
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +47,7 @@ from .supervised import (
     baseline_bundle_dict,
     baseline_from_bundle_dict,
     bundle_fields,
+    expect_int,
     expect_shape,
     extract_features,
     read_bundle,
@@ -74,47 +72,26 @@ class ZslSplit:
                 raise ValueError(f"{name} labels repeat {label!r}")
 
 
-# the last AttributeMatrix from_labels built over a frozen embedding:
-# [(weakref to vocab, weakref to emb, its labels, the AttributeMatrix)]
-_LAST_ATTRIBUTES: list = []
-
-
-def _frozen(a) -> bool:
-    """Whether a and every array it views are read-only, down to the one
-    that owns the memory, so that no array can change a's values."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
 @dataclass
 class AttributeMatrix:
-    """Per-label attribute vectors as columns, in label order. What the
-    rankers derive from the columns alone is computed on first use and
-    kept, so the matrix must not change after that; from_labels returns
-    it read-only."""
+    """Per-label attribute vectors as columns, in label order."""
 
     matrix: np.ndarray  # (s, n_labels)
     labels: list[str]
 
     @classmethod
-    def from_labels(cls, labels, vocab: Vocabulary, emb: np.ndarray) -> "AttributeMatrix":
+    def from_labels(cls, labels, vocab: Vocabulary, emb: np.ndarray,
+                    previous: AttributeMatrix | None = None) -> AttributeMatrix:
         """Each label's column is the embedding row of the token
         '#<label>'. A label whose token is not in the vocabulary raises
         a DataError; the caller must restrict the label set instead.
 
-        The matrix is a read-only copy of the rows. Over a frozen emb
-        (read-only down to the array that owns its memory), a call with
-        the vocab, emb and labels of the previous such call returns the
-        same AttributeMatrix."""
+        The matrix is a read-only copy of the rows. previous, built by
+        an earlier call over the same vocab and emb, is returned as it
+        is when its labels are these."""
         labels = list(labels)
-        shared = _frozen(emb)
-        if shared and _LAST_ATTRIBUTES:
-            vocab_ref, emb_ref, last_labels, attrs = _LAST_ATTRIBUTES[0]
-            if vocab_ref() is vocab and emb_ref() is emb and last_labels == labels:
-                return attrs
+        if previous is not None and previous.labels == labels:
+            return previous
         try:
             rows = [vocab.index["#" + label] for label in labels]
         except KeyError as exc:
@@ -124,30 +101,35 @@ class AttributeMatrix:
             ) from None
         attrs = cls(matrix=emb[rows].T, labels=labels)
         attrs.matrix.flags.writeable = False
-        if shared:
-            _LAST_ATTRIBUTES[:] = [(weakref.ref(vocab), weakref.ref(emb), list(labels), attrs)]
         return attrs
 
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        """Each column's Euclidean norm, as ConSE's cosine divides by it."""
-        A = self.matrix
-        return np.sqrt((A * A).sum(axis=0))
 
-    @cached_property
-    def distinct_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """_distinct_columns of the matrix, as DEM maps them."""
-        return _distinct_columns(self.matrix)
+@dataclass(frozen=True)
+class ConseCandidates:
+    """ConSE's side of a candidate set: its columns and their norms."""
+
+    matrix: np.ndarray  # (s, n_labels)
+    norms: np.ndarray  # (n_labels,)
+    labels: list[str]
+
+
+@dataclass(frozen=True)
+class DemCandidates:
+    """DEM's side of a candidate set: its distinct columns mapped, and each candidate's row."""
+
+    mapped: np.ndarray  # (distinct columns, p)
+    inverse: np.ndarray  # (n_labels,)
+    labels: list[str]
 
 
 # A head class is the one place its method lives: its name, its bundle
 # entry, fit(seen_attrs, feats, y, config), which fits the head on a
 # train set (the training labels' attribute matrix, one feature row per
 # example, each example's label index, and the grid config whose gamma,
-# conse_T and seeded dem_train it reads), and rank(classifier, x, attrs,
-# probs=None), which ranks attrs' candidates for one text with feature
-# vector x (and, for ConSE, label probabilities probs). Both go through
-# the module's fitter and ranker functions by name.
+# conse_T and seeded dem_train it reads), prepare(attrs), what its ranker
+# reads of a candidate set, labels included, and rank(classifier, x,
+# prepared, probs=None), which ranks that set for one text with feature
+# vector x (and, for ConSE, probabilities probs) through its ranker function.
 
 
 @dataclass
@@ -164,10 +146,15 @@ class ConseModel:
         # T defaults to every training label
         return cls(seen_attrs, len(seen_attrs.labels) if config.conse_T is None else config.conse_T)
 
-    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
+    @staticmethod
+    def prepare(attrs: AttributeMatrix) -> ConseCandidates:
+        A = attrs.matrix
+        return ConseCandidates(A, np.sqrt((A * A).sum(axis=0)), attrs.labels)
+
+    def rank(self, classifier, x, prepared: ConseCandidates, probs=None) -> Prediction:
         if probs is None:  # computed from x unless the caller has them
             probs = classifier.probs(x)
-        return conse_rank(conse_embed(probs, self.seen_embeddings, self.T), attrs)
+        return conse_rank(conse_embed(probs, self.seen_embeddings, self.T), prepared)
 
     def to_json(self) -> dict:
         attrs = self.seen_embeddings
@@ -181,7 +168,7 @@ class ConseModel:
         expect_shape("ConSE vectors", vectors, (n, classifier.emb.shape[1]))
         if len(labels) != n:
             raise ValueError(f"ConSE has {len(labels)} labels for {n} classifier outputs")
-        T = int(obj["T"])
+        T = expect_int("ConSE T", obj["T"])
         if not 1 <= T <= n:
             raise ValueError(f"ConSE T must be in [1, {n}], got {T}")
         return cls(seen_embeddings=AttributeMatrix(matrix=vectors.T, labels=labels), T=T)
@@ -198,8 +185,12 @@ class EszslModel:
         Y = np.eye(len(seen_attrs.labels))[y]  # one-hot rows
         return eszsl_fit(feats.T, Y, seen_attrs.matrix, config.gamma)
 
-    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
-        return eszsl_rank(self, x, attrs)
+    @staticmethod
+    def prepare(attrs: AttributeMatrix) -> AttributeMatrix:
+        return attrs
+
+    def rank(self, classifier, x, prepared: AttributeMatrix, probs=None) -> Prediction:
+        return eszsl_rank(self, x, prepared)
 
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "W": self.W.tolist()}
@@ -219,34 +210,26 @@ class DemModel:
     weights: np.ndarray  # (p, s)
     bias: np.ndarray  # (p,)
     loss_history: list[float] = field(default_factory=list)
-    # (the AttributeMatrix last ranked, its mapped distinct columns);
-    # the weights must not change while it is held
-    _mapped = None
 
     @classmethod
     def fit(cls, seen_attrs, feats, y, config) -> "DemModel":
         return dem_fit(feats, seen_attrs.matrix.T[y], config.dem_train)
 
-    def rank(self, classifier, x, attrs, probs=None) -> Prediction:
-        return dem_rank(self, x, attrs)
-
-    def mapped(self, attrs: AttributeMatrix) -> np.ndarray:
-        """relu(weights @ a + bias) for each distinct column a of attrs,
-        one row each, kept for the last attrs asked for."""
-        kept = self._mapped
-        if kept is not None and kept[0] is attrs:
-            return kept[1]
-        # the last set's mapped matrix is let go before this one is built
-        self._mapped = None
+    def prepare(self, attrs: AttributeMatrix) -> DemCandidates:
         # BLAS does not promise equal rounding for equal columns of one
         # product, so every distinct column is mapped once, in one GEMM:
         # exact ties stay exact
-        firsts, _ = attrs.distinct_columns
-        M = attrs.matrix[:, firsts].T @ self.weights.T
+        firsts, inverse = _distinct_columns(attrs.matrix)
+        # M before the gathered columns, so it can take the memory of the
+        # set recommend let go instead of growing the heap for every set
+        M = np.empty((len(firsts), len(self.bias)))
+        np.matmul(attrs.matrix[:, firsts].T, self.weights.T, out=M)
         M += self.bias
         np.maximum(M, 0.0, out=M)
-        self._mapped = (attrs, M)
-        return M
+        return DemCandidates(M, inverse, attrs.labels)
+
+    def rank(self, classifier, x, prepared: DemCandidates, probs=None) -> Prediction:
+        return dem_rank(self, x, prepared)
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist(),
@@ -335,16 +318,15 @@ def conse_embed(probs: np.ndarray, seen_embeddings: AttributeMatrix, T: int) -> 
     return (seen_embeddings.matrix[:, top] @ probs[top]) / z
 
 
-def conse_rank(f_x: np.ndarray, unseen_embeddings: AttributeMatrix) -> Prediction:
+def conse_rank(f_x: np.ndarray, candidates: ConseCandidates) -> Prediction:
     """Candidates by descending cosine to the combined embedding, with
     `cosine`'s rules: a zero norm scores 0, and a column whose norm
     leaves the normal float range is scored by `cosine` itself."""
-    A = unseen_embeddings.matrix
+    A, norms = candidates.matrix, candidates.norms
     f = np.asarray(f_x, dtype=float)
     nf = np.linalg.norm(f)
     if nf == 0.0:
-        return _ranked(unseen_embeddings.labels, np.zeros(A.shape[1]))
-    norms = unseen_embeddings.column_norms
+        return _ranked(candidates.labels, np.zeros(A.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _column_dots(A, f) / (norms * nf)
     if NORM_MIN <= nf <= NORM_MAX:
@@ -353,7 +335,7 @@ def conse_rank(f_x: np.ndarray, unseen_embeddings: AttributeMatrix) -> Predictio
         odd = range(A.shape[1])
     for i in odd:
         scores[i] = cosine(f, A[:, i])
-    return _ranked(unseen_embeddings.labels, scores)
+    return _ranked(candidates.labels, scores)
 
 
 def eszsl_fit(X: np.ndarray, Y: np.ndarray, A: np.ndarray, gamma: float) -> EszslModel:
@@ -465,12 +447,12 @@ def _distinct_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first]
 
 
-def dem_rank(model: DemModel, x: np.ndarray, unseen_attrs: AttributeMatrix) -> Prediction:
+def dem_rank(model: DemModel, x: np.ndarray, candidates: DemCandidates) -> Prediction:
     """Candidates by ascending Euclidean distance between x and each
-    mapped attribute vector; score is the negated distance."""
-    diff = model.mapped(unseen_attrs) - x
-    _, inverse = unseen_attrs.distinct_columns
-    return _ranked(unseen_attrs.labels, -np.sqrt(np.einsum("ij,ij->i", diff, diff))[inverse])
+    attribute vector model.prepare mapped; score is the negated distance."""
+    diff = candidates.mapped - x
+    scores = -np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return _ranked(candidates.labels, scores[candidates.inverse])
 
 
 def fsl_augment(
@@ -523,11 +505,14 @@ def fsl_augment(
 @dataclass
 class ZslBundle:
     """A trained ranker ready for recommendation: the shared feature
-    extractor plus one method-specific head."""
+    extractor plus one method-specific head. recommend keeps the last
+    candidate set it prepared, so neither may change while it serves."""
 
     classifier: BaselineClassifier
     head: ConseModel | EszslModel | DemModel
     split: ZslSplit | None = None
+    # (the AttributeMatrix recommend last ranked, the head's prepared set)
+    prepared: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -543,9 +528,13 @@ def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:
     candidates = list(candidates)
     if not candidates:
         raise DataError("candidate label set is empty")
-    classifier = bundle.classifier
-    attrs = AttributeMatrix.from_labels(candidates, classifier.vocab, classifier.emb)
-    prediction = bundle.head.rank(classifier, extract_features(classifier, tokens), attrs)
+    classifier, head = bundle.classifier, bundle.head
+    kept = bundle.prepared  # read once, so this call ranks with the set it checked
+    attrs = AttributeMatrix.from_labels(candidates, classifier.vocab, classifier.emb, kept[0])
+    if attrs is not kept[0]:
+        bundle.prepared = kept = None  # the last set is let go before this one is prepared
+        kept = bundle.prepared = (attrs, head.prepare(attrs))
+    prediction = head.rank(classifier, extract_features(classifier, tokens), kept[1])
     prediction.all_oov = all(t not in classifier.vocab.index for t in tokens)
     if prediction.all_oov:
         logger.warning("no in-vocabulary tokens; ranking from the zero feature")
@@ -591,5 +580,5 @@ def load_zsl_bundle(path) -> ZslBundle:
             seen, unseen = obj["split"]["seen"], obj["split"]["unseen"]
             if not (is_str_list(seen) and is_str_list(unseen)):
                 raise ValueError("split seen and unseen must be lists of labels")
-            split = ZslSplit(seen=seen, unseen=unseen, seed=int(obj["split"]["seed"]))
+            split = ZslSplit(seen, unseen, expect_int("split seed", obj["split"]["seed"]))
         return ZslBundle(classifier, head.from_json(obj["head"], classifier), split)

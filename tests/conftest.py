@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from tagrec import embedding, zsl
+from tagrec import embedding
 
 
 @pytest.fixture(autouse=True)
 def _fresh_serving_state():
-    """Each test starts with no shared embedding and no remembered
-    candidate set, so no test sees what an earlier one loaded."""
+    """Each test starts with no shared embedding, so no test sees what
+    an earlier one loaded."""
     embedding._SHARED_VOCABS.clear()
     embedding._SHARED_VECTORS.clear()
-    zsl._LAST_ATTRIBUTES.clear()
     yield
 
 

@@ -26,6 +26,7 @@ from tagrec.supervised import TrainSpec
 from tagrec.synthetic import make_clustered_corpus, make_separable_dataset
 from tagrec.zsl import (
     AttributeMatrix,
+    ConseModel,
     DemModel,
     EszslModel,
     conse_embed,
@@ -201,7 +202,7 @@ def test_03_ranker_oracle(announce):
         probs = np.exp(logits) / np.exp(logits).sum()
         T = int(rng.integers(1, n_seen + 1))
         f_x = conse_embed(probs, seen, T)
-        got = conse_rank(f_x, unseen).labels()
+        got = conse_rank(f_x, ConseModel.prepare(unseen)).labels()
         want = ranked_reference(unseen.labels, conse_scores_reference(f_x, unseen.matrix))
         mismatches += got != want
         total += 1
@@ -222,7 +223,8 @@ def test_03_ranker_oracle(announce):
         b = rng.normal(size=p)
         x = rng.normal(size=p)
         unseen = _random_attrs(rng, s, n, force_tie=case % 3 == 0)
-        got = dem_rank(DemModel(weights=W, bias=b), x, unseen).labels()
+        model = DemModel(weights=W, bias=b)
+        got = dem_rank(model, x, model.prepare(unseen)).labels()
         want = ranked_reference(unseen.labels, dem_scores_reference(W, b, x, unseen.matrix))
         mismatches += got != want
         total += 1

@@ -4,6 +4,7 @@ determinism, and the exit-code contract (0 ok, 1 usage, 2 data,
 3 numerical)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1040,7 +1041,20 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
-# each corruption of a saved bundle: (method, name, edit of its bytes or its JSON)
+def _first(values, value):
+    """values, a list of numbers or of rows of them, with its first number replaced."""
+    if isinstance(values[0], list):
+        return [_first(values[0], value), *values[1:]]
+    return [value, *values[1:]]
+
+
+def _as_1e999(obj):
+    """obj's JSON text with every infinity spelled 1e999, which parses to one."""
+    return json.dumps(obj).replace("Infinity", "1e999").encode("ascii")
+
+
+# each corruption of a saved bundle: (method, name, edit of its bytes or its JSON,
+# which returns the bundle's new bytes or its new JSON value)
 BAD_BUNDLES = [
     ("eszsl", "truncated", lambda raw: raw[: len(raw) // 2]),
     ("eszsl", "not-json", lambda raw: b"model bundle\n"),
@@ -1064,6 +1078,16 @@ BAD_BUNDLES = [
     ("dem", "split-repeats", lambda obj: {
         **obj, "split": {**obj["split"], "unseen": obj["split"]["unseen"][:1] * 2}}),
     ("conse", "unknown-method", lambda obj: {**obj, "method": "mystery"}),
+    ("conse", "vectors-nan", lambda obj: _head(
+        obj, vectors=_first(obj["head"]["vectors"], math.nan))),
+    ("dem", "bias-1e999", lambda obj: _as_1e999(_head(
+        obj, bias=_first(obj["head"]["bias"], math.inf)))),
+    ("eszsl", "output-bias-nan", lambda obj: _classifier(
+        obj, "output", bias=_first(obj["classifier"]["output"]["bias"], math.nan))),
+    ("conse", "T-float", lambda obj: _head(obj, T=1.7)),
+    ("conse", "T-string", lambda obj: _head(obj, T="2")),
+    ("conse", "T-bool", lambda obj: _head(obj, T=True)),
+    ("eszsl", "seed-float", lambda obj: {**obj, "split": {**obj["split"], "seed": 1.5}}),
 ]
 
 
@@ -1085,10 +1109,10 @@ class TestBadBundles:
     ):
         raw = saved_bundles[method].read_bytes()
         path = tmp_path / "bad.json"
-        if name in ("truncated", "not-json", "non-ascii"):
-            path.write_bytes(edit(raw))
-        else:
-            path.write_text(json.dumps(edit(json.loads(raw))), encoding="ascii")
+        if name not in ("truncated", "not-json", "non-ascii"):
+            raw = json.loads(raw)
+        edited = edit(raw)
+        path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
         capsys.readouterr()
         code, _, err = run_cli(["recommend", "--bundle", str(path), "--text", "hi"], capsys)
         assert code == 2 and f"data error: {path}" in err

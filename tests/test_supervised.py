@@ -228,6 +228,8 @@ BAD_BUNDLES = [
         **obj["output"], "bias": obj["output"]["bias"][:1]}}),
     ("hidden-activation", lambda obj: {**obj, "hidden": {**obj["hidden"], "activation": "softmax"}}),
     ("output-activation", lambda obj: {**obj, "output": {**obj["output"], "activation": "tanh"}}),
+    ("hidden-weight-nan", lambda obj: {**obj, "hidden": {**obj["hidden"], "weights": [
+        [math.nan, *obj["hidden"]["weights"][0][1:]], *obj["hidden"]["weights"][1:]]}}),
 ]
 
 

@@ -154,13 +154,13 @@ class TestConseRank:
     def test_exact_match_ranks_first(self, rng):
         M = rng.standard_normal((4, 3))
         attrs = _attr(M, ["a", "b", "c"])
-        pred = conse_rank(M[:, 1], attrs)
+        pred = conse_rank(M[:, 1], ConseModel.prepare(attrs))
         assert pred.labels()[0] == "b"
         assert pred.ranked[0][1] == pytest.approx(1.0)
 
     def test_orthogonal_candidates_tie_in_label_order(self):
         attrs = _attr([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["b", "a"])
-        pred = conse_rank(np.array([1.0, 0.0, 0.0]), attrs)
+        pred = conse_rank(np.array([1.0, 0.0, 0.0]), ConseModel.prepare(attrs))
         assert pred.labels() == ["b", "a"]
         assert [s for _, s in pred.ranked] == pytest.approx([0.0, 0.0])
 
@@ -178,7 +178,8 @@ class TestConseRank:
                 else 0.0
                 for i in range(n)
             ]
-            assert conse_rank(f_x, _attr(M, labels)).labels() == ranked_reference(labels, scores)
+            pred = conse_rank(f_x, ConseModel.prepare(_attr(M, labels)))
+            assert pred.labels() == ranked_reference(labels, scores)
 
 
 class TestEszsl:
@@ -364,14 +365,14 @@ class TestDem:
                 for i in range(n)
             ]
             model = DemModel(weights=W, bias=b)
-            pred = dem_rank(model, x, _attr(M, labels))
+            pred = dem_rank(model, x, model.prepare(_attr(M, labels)))
             assert pred.labels() == ranked_reference(labels, scores)
 
     def test_rank_scores_are_negated_distances(self, rng):
         W = rng.standard_normal((4, 3))
         M = rng.standard_normal((3, 5))
         model = DemModel(weights=W, bias=np.zeros(4))
-        pred = dem_rank(model, rng.standard_normal(4), _attr(M, list("abcde")))
+        pred = dem_rank(model, rng.standard_normal(4), model.prepare(_attr(M, list("abcde"))))
         scores = [s for _, s in pred.ranked]
         assert all(s <= 0.0 for s in scores)
         assert scores == sorted(scores, reverse=True)
@@ -396,12 +397,12 @@ def _rank_with(method, rng, A, s, p=16):
     attrs = _attr(A, [f"c{j}" for j in range(A.shape[1])])
     assert attrs.matrix is A  # in A's memory order
     if method == "conse":
-        return conse_rank(rng.standard_normal(s), attrs)
+        return conse_rank(rng.standard_normal(s), ConseModel.prepare(attrs))
     x = rng.standard_normal(p)
     if method == "eszsl":
         return eszsl_rank(EszslModel(W=rng.standard_normal((p, s)), gamma=1.0), x, attrs)
     model = DemModel(weights=rng.standard_normal((p, s)), bias=rng.standard_normal(p))
-    return dem_rank(model, x, attrs)
+    return dem_rank(model, x, model.prepare(attrs))
 
 
 @st.composite
@@ -475,10 +476,11 @@ class TestRankersAtScale:
         A, f, W, b, x = instance
         labels = [f"c{j}" for j in range(A.shape[1])]
         attrs = _attr(A, labels)
+        dem = DemModel(weights=W, bias=b)
         cases = [
-            (conse_rank(f, attrs), conse_scores_reference(f, A)),
+            (conse_rank(f, ConseModel.prepare(attrs)), conse_scores_reference(f, A)),
             (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A)),
-            (dem_rank(DemModel(weights=W, bias=b), x, attrs), dem_scores_reference(W, b, x, A)),
+            (dem_rank(dem, x, dem.prepare(attrs)), dem_scores_reference(W, b, x, A)),
         ]
         for pred, want in cases:
             assert pred.labels() == ranked_reference(labels, want)
@@ -500,10 +502,11 @@ class TestRankersAtScale:
         # rounding error bounds: sums of absolute terms
         bilinear = (np.abs(x) @ np.abs(W)) @ np.abs(A)
         mapped = np.abs(W) @ np.abs(A)
+        dem, conse = DemModel(weights=W, bias=b), ConseModel.prepare(attrs)
         cases = [
-            (conse_rank(f, attrs), conse_scores_reference(f, A), np.ones(A.shape[1])),
+            (conse_rank(f, conse), conse_scores_reference(f, A), np.ones(A.shape[1])),
             (eszsl_rank(EszslModel(W=W, gamma=1.0), x, attrs), eszsl_scores_reference(W, x, A), bilinear),
-            (dem_rank(DemModel(weights=W, bias=b), x, attrs), dem_scores_reference(W, b, x, A),
+            (dem_rank(dem, x, dem.prepare(attrs)), dem_scores_reference(W, b, x, A),
              np.sqrt(((mapped + np.abs(x)[:, None]) ** 2).sum(axis=0))),
         ]
         for pred, want, scale in cases:
@@ -514,7 +517,7 @@ class TestRankersAtScale:
     def test_conse_zero_and_tiny_columns_follow_cosine(self):
         f = np.array([1.0, 2.0, 0.0])
         A = np.array([[0.0, 1.05e-160, 1.0, 3e-170], [0.0, 2.1e-160, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        pred = conse_rank(f, _attr(A, list("abcd")))
+        pred = conse_rank(f, ConseModel.prepare(_attr(A, "abcd")))
         want = [cosine(f, A[:, j]) for j in range(4)]
         assert dict(pred.ranked) == dict(zip("abcd", want))
         score = dict(pred.ranked)
@@ -525,14 +528,14 @@ class TestRankersAtScale:
     def test_conse_tiny_combined_embedding_follows_cosine(self):
         f = np.array([1e-160, 3e-160, -2e-160])
         A = np.array([[1.0, 0.0, 2.0, 0.0], [3.0, 1.0, 6.0, 0.0], [-2.0, 1.0, -4.0, 0.0]])
-        pred = conse_rank(f, _attr(A, list("abcd")))
+        pred = conse_rank(f, ConseModel.prepare(_attr(A, "abcd")))
         want = [cosine(f, A[:, j]) for j in range(4)]
         assert dict(pred.ranked) == dict(zip("abcd", want))
         assert pred.labels()[:2] == ["a", "c"] and want[0] == want[2] == pytest.approx(1.0)
 
     def test_conse_zero_combined_embedding_ties_everything(self):
         A = np.arange(12.0).reshape(3, 4)
-        pred = conse_rank(np.zeros(3), _attr(A, list("dcba")))
+        pred = conse_rank(np.zeros(3), ConseModel.prepare(_attr(A, list("dcba"))))
         assert pred.ranked == [(label, 0.0) for label in "dcba"]
 
 
@@ -541,92 +544,78 @@ def _bits(prediction):
 
 
 @st.composite
-def _candidate_sets(draw):
-    """A read-only embedding of '#t<i>' tokens, some rows copies of
-    others with the signs of their zeros flipped, a sequence of candidate
-    row lists over it (some the previous list again), and the parameters
-    of ConSE's combined embedding, one ESZSL head and two DEM heads."""
-    s, V, p = draw(st.integers(1, 6)), draw(st.integers(1, 80)), draw(st.integers(1, 8))
+def _serving_world(draw):
+    """Bundles of all three heads over one read-only embedding and one
+    bundle over a second embedding of the same tokens, whose hashtag rows
+    include copies of others with the signs of their zeros flipped; a few
+    candidate lists; and calls, each a (bundle, candidate list, text)."""
+    s, V, p, n = (draw(st.integers(1, hi)) for hi in (6, 40, 8, 4))
 
     def floats(*shape):
         return draw(hnp.arrays(float, shape, elements=st.one_of(_MAGNITUDES, st.just(-0.0))))
 
-    emb = floats(V, s)
+    tokens = [f"#t{i}" for i in range(V)] + ["w0", "w1"]
+    vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens),
+                       index={t: i for i, t in enumerate(tokens)})
     row = st.integers(0, V - 1)
-    for src, dst in draw(st.lists(st.tuples(row, row), max_size=8)):
-        emb[dst] = emb[src]
-        if draw(st.booleans()):
-            emb[dst, emb[dst] == 0.0] *= -1.0
-    emb.flags.writeable = False
-    row_lists = []
-    for _ in range(draw(st.integers(1, 5))):
-        if row_lists and draw(st.booleans()):
-            row_lists.append(list(row_lists[-1]))
-        else:
-            row_lists.append(draw(st.lists(row, min_size=1, max_size=V, unique=True)))
-    heads = floats(s), floats(p, s), floats(p, s), floats(p), floats(p, s), floats(p), floats(p)
-    return emb, row_lists, heads
+
+    def embedding():
+        emb = floats(len(tokens), s)
+        for src, dst in draw(st.lists(st.tuples(row, row), max_size=8)):
+            emb[dst] = emb[src]
+            if draw(st.booleans()):
+                emb[dst, emb[dst] == 0.0] *= -1.0
+        return emb
+
+    def classifier(emb):
+        return supervised.BaselineClassifier(floats(p, s), floats(p), floats(n, p), floats(n),
+                                             [f"s{i}" for i in range(n)], vocab, emb)
+
+    def head(method):
+        if method == "conse":
+            return ConseModel(_attr(floats(s, n), [f"s{i}" for i in range(n)]),
+                              draw(st.integers(1, n)))
+        if method == "eszsl":
+            return EszslModel(floats(p, s), 1.0)
+        return DemModel(floats(p, s), floats(p))
+
+    shared = embedding()
+    shared.flags.writeable = False
+    clf = classifier(shared)
+    bundles = [ZslBundle(clf, head(method)) for method in zsl.METHODS]
+    bundles.append(ZslBundle(classifier(embedding()), head(draw(st.sampled_from(zsl.METHODS)))))
+    lists = [[tokens[r][1:] for r in rows] for rows in draw(st.lists(
+        st.lists(row, min_size=1, max_size=V, unique=True), min_size=1, max_size=3))]
+    text = st.lists(st.sampled_from(tokens + ["oov"]), max_size=4)
+    calls = draw(st.lists(st.tuples(st.sampled_from(bundles), st.sampled_from(lists), text),
+                          min_size=1, max_size=12))
+    return bundles, calls
 
 
 class TestCandidateSetOnce:
-    """The candidate side is prepared once per candidate set and rankings
-    stay bit-identical to a computation that starts from nothing."""
+    """recommend prepares a bundle's candidate set once for consecutive
+    calls with it, and ranks exactly as a fresh preparation would."""
 
     @settings(max_examples=120, deadline=None)
-    @given(_candidate_sets())
-    def test_memoized_rankings_equal_a_fresh_computation(self, instance):
-        emb, row_lists, (f, W, W1, b1, W2, b2, x) = instance
-        tokens = [f"#t{i}" for i in range(len(emb))]
-        vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens),
-                           index={t: i for i, t in enumerate(tokens)})
-        eszsl = EszslModel(W=W, gamma=1.0)
-        dems = [DemModel(weights=W1, bias=b1), DemModel(weights=W2, bias=b2)]
-        previous = None
-        for rows in row_lists:
-            labels = [tokens[r][1:] for r in rows]
-            attrs = AttributeMatrix.from_labels(labels, vocab, emb)
-            assert (attrs is previous) == (previous is not None and previous.labels == labels)
-            previous = attrs
-            # two DEM heads over one AttributeMatrix, then the first again
-            got = [conse_rank(f, attrs), eszsl_rank(eszsl, x, attrs)]
-            got += [dem_rank(model, x, attrs) for model in dems + dems[:1]]
-
-            A = emb[rows].T
-            want = [_bits(conse_rank(f, AttributeMatrix(matrix=A, labels=labels))),
-                    _bits(eszsl_rank(eszsl, x, AttributeMatrix(matrix=A, labels=labels)))]
-            firsts, inverse = distinct_columns_reference(A)
-            for model in dems + dems[:1]:
-                # every distinct column mapped in one GEMM, every row's
-                # distance in one einsum
-                diff = np.maximum(A[:, firsts].T @ model.weights.T + model.bias, 0.0) - x
-                scores = (-np.sqrt(np.einsum("ij,ij->i", diff, diff)))[inverse].tolist()
-                want.append([(label, scores[labels.index(label)].hex())
-                             for label in ranked_reference(labels, scores)])
-            assert [_bits(p) for p in got] == want
-
-    def test_a_writable_embedding_is_gathered_every_time(self, rng):
-        vocab = Vocabulary(tokens=["#a", "#b"], counts=[1, 1], index={"#a": 0, "#b": 1})
-        emb = rng.standard_normal((2, 3))
-        first = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
-        emb[1] = 0.0
-        second = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
-        assert second is not first and not second.matrix[:, 0].any()
-        for attrs in (first, second):
-            with pytest.raises(ValueError, match="read-only"):
-                attrs.matrix[0, 0] = 1.0
-        # a read-only view of a writable array can still change under it
-        view = emb[:]
-        view.flags.writeable = False
-        before = AttributeMatrix.from_labels(["b", "a"], vocab, view)
-        emb[1] = 1.0
-        after = AttributeMatrix.from_labels(["b", "a"], vocab, view)
-        assert after is not before and (after.matrix[:, 0] == 1.0).all()
-        emb.flags.writeable = False
-        third = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
-        assert AttributeMatrix.from_labels(["b", "a"], vocab, emb) is third
-        assert AttributeMatrix.from_labels(["a", "b"], vocab, emb) is not third
-        with pytest.raises(ValueError, match="read-only"):
-            third.matrix[0, 0] = 1.0
+    @given(_serving_world())
+    def test_recommend_ranks_as_a_fresh_prepare_of_each_call(self, world):
+        bundles, calls = world
+        for bundle, labels, words in calls:
+            before = bundle.prepared
+            got = recommend(bundle, words, labels, k=len(labels))
+            clf, head = bundle.classifier, bundle.head
+            attrs = AttributeMatrix.from_labels(labels, clf.vocab, clf.emb)
+            want = head.rank(clf, extract_features(clf, words), head.prepare(attrs))
+            assert _bits(got) == _bits(want)
+            # the bundle keeps this call's set, prepared again only when
+            # the previous call to it had other labels
+            kept, prepared = bundle.prepared
+            assert kept.labels == prepared.labels == labels
+            assert not kept.matrix.flags.writeable
+            repeated = before[0] is not None and before[0].labels == labels
+            assert (bundle.prepared is before) == repeated
+            others = [other.prepared[1] for other in bundles if other is not bundle]
+            assert all(other is not prepared for other in others)
 
 
 class TestFslAugment:
@@ -749,7 +738,7 @@ def _full_ranking(bundle, tokens, candidates):
     """Every candidate ranked by the bundle's head for one text."""
     clf = bundle.classifier
     attrs = AttributeMatrix.from_labels(candidates, clf.vocab, clf.emb)
-    return bundle.head.rank(clf, extract_features(clf, tokens), attrs)
+    return bundle.head.rank(clf, extract_features(clf, tokens), bundle.head.prepare(attrs))
 
 
 class TestRecommend:
@@ -866,12 +855,10 @@ class TestZslBundleIO:
             assert bundle.classifier.vocab is first.vocab
         with pytest.raises(ValueError, match="read-only"):
             first.emb[0, 0] = 1.0
-        # the shared matrix is frozen down to the array np.load read into,
-        # so its candidate sets are prepared once
-        labels = bundles[0].split.unseen
-        attrs = AttributeMatrix.from_labels(labels, first.vocab, first.emb)
-        assert AttributeMatrix.from_labels(labels, first.vocab, first.emb) is attrs
-        del bundles, bundle, first, attrs
+        # a candidate set a bundle keeps does not keep the share alive
+        for bundle in bundles:
+            recommend(bundle, ["hi"], bundle.split.unseen, k=1)
+        del bundles, bundle, first
         gc.collect()
         assert not embedding._SHARED_VECTORS and not embedding._SHARED_VOCABS
 
