@@ -592,6 +592,34 @@ def _serving_world(draw):
     return bundles, calls
 
 
+@st.composite
+def _candidate_sets(draw):
+    """A read-only embedding of '#t<i>' tokens, some rows copies of
+    others with the signs of their zeros flipped, a sequence of candidate
+    row lists over it (some the previous list again), and the parameters
+    of ConSE's combined embedding, one ESZSL head and two DEM heads."""
+    s, V, p = draw(st.integers(1, 6)), draw(st.integers(1, 80)), draw(st.integers(1, 8))
+
+    def floats(*shape):
+        return draw(hnp.arrays(float, shape, elements=st.one_of(_MAGNITUDES, st.just(-0.0))))
+
+    emb = floats(V, s)
+    row = st.integers(0, V - 1)
+    for src, dst in draw(st.lists(st.tuples(row, row), max_size=8)):
+        emb[dst] = emb[src]
+        if draw(st.booleans()):
+            emb[dst, emb[dst] == 0.0] *= -1.0
+    emb.flags.writeable = False
+    row_lists = []
+    for _ in range(draw(st.integers(1, 5))):
+        if row_lists and draw(st.booleans()):
+            row_lists.append(list(row_lists[-1]))
+        else:
+            row_lists.append(draw(st.lists(row, min_size=1, max_size=V, unique=True)))
+    heads = floats(s), floats(p, s), floats(p, s), floats(p), floats(p, s), floats(p), floats(p)
+    return emb, row_lists, heads
+
+
 class TestCandidateSetOnce:
     """recommend prepares a bundle's candidate set once for consecutive
     calls with it, and ranks exactly as a fresh preparation would."""
@@ -616,6 +644,72 @@ class TestCandidateSetOnce:
             assert (bundle.prepared is before) == repeated
             others = [other.prepared[1] for other in bundles if other is not bundle]
             assert all(other is not prepared for other in others)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_candidate_sets())
+    def test_memoized_rankings_equal_a_fresh_computation(self, instance):
+        emb, row_lists, (f, W, W1, b1, W2, b2, x) = instance
+        tokens = [f"#t{i}" for i in range(len(emb))]
+        vocab = Vocabulary(tokens=tokens, counts=[1] * len(tokens),
+                           index={t: i for i, t in enumerate(tokens)})
+        eszsl = EszslModel(W=W, gamma=1.0)
+        dems = [DemModel(weights=W1, bias=b1), DemModel(weights=W2, bias=b2)]
+        previous = prepared = None
+        for rows in row_lists:
+            labels = [tokens[r][1:] for r in rows]
+            attrs = AttributeMatrix.from_labels(labels, vocab, emb, previous)
+            repeated = previous is not None and previous.labels == labels
+            assert (attrs is previous) == repeated
+            # each head prepares a set once and ranks a repeat of it from
+            # what it kept
+            if not repeated:
+                prepared = [ConseModel.prepare(attrs), eszsl.prepare(attrs)]
+                prepared += [model.prepare(attrs) for model in dems]
+            previous = attrs
+            # two DEM heads over one AttributeMatrix, then the first again
+            got = [conse_rank(f, prepared[0]), eszsl_rank(eszsl, x, prepared[1])]
+            got += [dem_rank(model, x, kept)
+                    for model, kept in zip(dems + dems[:1], prepared[2:] + prepared[2:3])]
+
+            A = emb[rows].T
+            want = [_bits(conse_rank(f, ConseModel.prepare(AttributeMatrix(matrix=A, labels=labels)))),
+                    _bits(eszsl_rank(eszsl, x, AttributeMatrix(matrix=A, labels=labels)))]
+            firsts, inverse = distinct_columns_reference(A)
+            for model in dems + dems[:1]:
+                # every distinct column mapped in one GEMM, every row's
+                # distance in one einsum
+                diff = np.maximum(A[:, firsts].T @ model.weights.T + model.bias, 0.0) - x
+                scores = (-np.sqrt(np.einsum("ij,ij->i", diff, diff)))[inverse].tolist()
+                want.append([(label, scores[labels.index(label)].hex())
+                             for label in ranked_reference(labels, scores)])
+            assert [_bits(p) for p in got] == want
+
+    def test_a_writable_embedding_is_gathered_every_time(self, rng):
+        vocab = Vocabulary(tokens=["#a", "#b"], counts=[1, 1], index={"#a": 0, "#b": 1})
+        emb = rng.standard_normal((2, 3))
+        first = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        emb[1] = 0.0
+        second = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        assert second is not first and not second.matrix[:, 0].any()
+        for attrs in (first, second):
+            with pytest.raises(ValueError, match="read-only"):
+                attrs.matrix[0, 0] = 1.0
+        # a read-only view of a writable array can still change under it
+        view = emb[:]
+        view.flags.writeable = False
+        before = AttributeMatrix.from_labels(["b", "a"], vocab, view)
+        emb[1] = 1.0
+        after = AttributeMatrix.from_labels(["b", "a"], vocab, view)
+        assert after is not before and (after.matrix[:, 0] == 1.0).all()
+        # a read-only embedding is gathered every time too; only a set
+        # handed back as previous is kept
+        emb.flags.writeable = False
+        third = AttributeMatrix.from_labels(["b", "a"], vocab, emb)
+        assert AttributeMatrix.from_labels(["b", "a"], vocab, emb) is not third
+        assert AttributeMatrix.from_labels(["b", "a"], vocab, emb, third) is third
+        assert AttributeMatrix.from_labels(["a", "b"], vocab, emb, third) is not third
+        with pytest.raises(ValueError, match="read-only"):
+            third.matrix[0, 0] = 1.0
 
 
 class TestFslAugment:
