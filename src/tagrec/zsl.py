@@ -21,10 +21,9 @@ axis, where every column goes through the same IEEE operations, and
 DEM maps each distinct column once and shares its score.
 
 What a ranker reads of a candidate set alone is prepared once per set:
-each head's prepare(attrs) returns it, and its rank takes that prepared
-set. The grid prepares each cell's unseen labels once; recommend keeps
-the last set it prepared on the bundle, and from_labels hands back that
-set's AttributeMatrix for equal labels.
+each head's prepare(attrs) returns it and its rank takes it. The grid
+prepares each cell's unseen labels once; recommend keeps the last set on
+the bundle, and from_labels returns its AttributeMatrix for equal labels.
 """
 
 from __future__ import annotations
@@ -143,6 +142,8 @@ class ConseModel:
 
     @classmethod
     def fit(cls, seen_attrs, feats, y, config) -> "ConseModel":
+        if not np.isfinite(seen_attrs.matrix).all():  # as ESZSL and DEM fail on them
+            raise NumericalError("non-finite entries in the training labels' attribute vectors")
         # T defaults to every training label
         return cls(seen_attrs, len(seen_attrs.labels) if config.conse_T is None else config.conse_T)
 
@@ -216,14 +217,10 @@ class DemModel:
         return dem_fit(feats, seen_attrs.matrix.T[y], config.dem_train)
 
     def prepare(self, attrs: AttributeMatrix) -> DemCandidates:
-        # BLAS does not promise equal rounding for equal columns of one
-        # product, so every distinct column is mapped once, in one GEMM:
-        # exact ties stay exact
+        # BLAS does not promise equal rounding for equal columns of one product,
+        # so each distinct column is mapped once, in one GEMM: exact ties stay exact
         firsts, inverse = _distinct_columns(attrs.matrix)
-        # M before the gathered columns, so it can take the memory of the
-        # set recommend let go instead of growing the heap for every set
-        M = np.empty((len(firsts), len(self.bias)))
-        np.matmul(attrs.matrix[:, firsts].T, self.weights.T, out=M)
+        M = attrs.matrix[:, firsts].T @ self.weights.T
         M += self.bias
         np.maximum(M, 0.0, out=M)
         return DemCandidates(M, inverse, attrs.labels)
@@ -506,13 +503,13 @@ def fsl_augment(
 class ZslBundle:
     """A trained ranker ready for recommendation: the shared feature
     extractor plus one method-specific head. recommend keeps the last
-    candidate set it prepared, so neither may change while it serves."""
+    set it prepared; a read-only embedding must not change under it."""
 
     classifier: BaselineClassifier
     head: ConseModel | EszslModel | DemModel
     split: ZslSplit | None = None
-    # (the AttributeMatrix recommend last ranked, the head's prepared set)
-    prepared: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (vocab, embedding, head, AttributeMatrix, prepared set) recommend last ranked with
+    prepared: tuple = field(default=(None,) * 5, init=False, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -529,12 +526,15 @@ def recommend(bundle: ZslBundle, tokens, candidates, k: int) -> Prediction:
     if not candidates:
         raise DataError("candidate label set is empty")
     classifier, head = bundle.classifier, bundle.head
+    vocab, emb = classifier.vocab, classifier.emb
     kept = bundle.prepared  # read once, so this call ranks with the set it checked
-    attrs = AttributeMatrix.from_labels(candidates, classifier.vocab, classifier.emb, kept[0])
-    if attrs is not kept[0]:
+    # a set is reused only with the vocabulary, read-only embedding and head it came from
+    fresh = emb.flags.writeable or any(a is not b for a, b in zip(kept, (vocab, emb, head)))
+    attrs = AttributeMatrix.from_labels(candidates, vocab, emb, None if fresh else kept[3])
+    if attrs is not kept[3]:
         bundle.prepared = kept = None  # the last set is let go before this one is prepared
-        kept = bundle.prepared = (attrs, head.prepare(attrs))
-    prediction = head.rank(classifier, extract_features(classifier, tokens), kept[1])
+        kept = bundle.prepared = (vocab, emb, head, attrs, head.prepare(attrs))
+    prediction = head.rank(classifier, extract_features(classifier, tokens), kept[4])
     prediction.all_oov = all(t not in classifier.vocab.index for t in tokens)
     if prediction.all_oov:
         logger.warning("no in-vocabulary tokens; ranking from the zero feature")

@@ -809,6 +809,22 @@ class TestGridCommands:
         assert code == 1 and "exactly one split, one method, and one seed" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["conse", "eszsl", "dem"])
+    def test_non_finite_label_vectors_fail_the_fit(self, capsys, tmp_path, world, method):
+        # every head refuses them, so no bundle is saved that loading refuses
+        emb, flags = _own_embedding(tmp_path, world)
+        lines = emb.read_text().splitlines(keepends=True)
+        emb.write_text("".join(
+            "{} nan {}".format(*line.split(" ", 2)[::2]) if line.startswith("#") else line
+            for line in lines))
+        bundle = tmp_path / "bundle.json"
+        code, _, err = run_cli(
+            ["zsl", *flags, *FAST_GRID, "--methods", method, "--save-bundle", str(bundle)],
+            capsys,
+        )
+        assert code == 3 and "numerical error: non-finite" in err
+        assert not bundle.exists()
+
     @pytest.mark.parametrize("setting", ["zsl", "fsl"])
     def test_save_bundle_fits_once(self, capsys, tmp_path, world, monkeypatch, setting):
         # count calls through every tagrec module that holds the function,

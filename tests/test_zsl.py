@@ -546,9 +546,10 @@ def _bits(prediction):
 @st.composite
 def _serving_world(draw):
     """Bundles of all three heads over one read-only embedding and one
-    bundle over a second embedding of the same tokens, whose hashtag rows
-    include copies of others with the signs of their zeros flipped; a few
-    candidate lists; and calls, each a (bundle, candidate list, text)."""
+    bundle over a second, writable embedding of the same tokens, whose
+    hashtag rows include copies of others with the signs of their zeros
+    flipped; a few candidate lists; and calls, each a (bundle, candidate
+    list, text)."""
     s, V, p, n = (draw(st.integers(1, hi)) for hi in (6, 40, 8, 4))
 
     def floats(*shape):
@@ -635,14 +636,15 @@ class TestCandidateSetOnce:
             attrs = AttributeMatrix.from_labels(labels, clf.vocab, clf.emb)
             want = head.rank(clf, extract_features(clf, words), head.prepare(attrs))
             assert _bits(got) == _bits(want)
-            # the bundle keeps this call's set, prepared again only when
-            # the previous call to it had other labels
-            kept, prepared = bundle.prepared
+            # the bundle keeps this call's set, prepared again unless the
+            # previous call to it had the same labels over a read-only embedding
+            vocab, emb, prepared_for, kept, prepared = bundle.prepared
+            assert vocab is clf.vocab and emb is clf.emb and prepared_for is head
             assert kept.labels == prepared.labels == labels
             assert not kept.matrix.flags.writeable
-            repeated = before[0] is not None and before[0].labels == labels
-            assert (bundle.prepared is before) == repeated
-            others = [other.prepared[1] for other in bundles if other is not bundle]
+            repeated = before[3] is not None and before[3].labels == labels
+            assert (bundle.prepared is before) == (repeated and not emb.flags.writeable)
+            others = [other.prepared[4] for other in bundles if other is not bundle]
             assert all(other is not prepared for other in others)
 
     @settings(max_examples=120, deadline=None)
@@ -710,6 +712,49 @@ class TestCandidateSetOnce:
         assert AttributeMatrix.from_labels(["a", "b"], vocab, emb, third) is not third
         with pytest.raises(ValueError, match="read-only"):
             third.matrix[0, 0] = 1.0
+
+    def test_a_new_head_vocabulary_or_embedding_prepares_the_set_again(self, rng):
+        tokens = ["#a", "#b", "#c", "w"]
+        vocab = Vocabulary(tokens=tokens, counts=[1] * 4,
+                           index={t: i for i, t in enumerate(tokens)})
+        reordered = Vocabulary(tokens=tokens[::-1], counts=[1] * 4,
+                               index={t: i for i, t in enumerate(tokens[::-1])})
+        frozen = rng.standard_normal((4, 2))
+        frozen.flags.writeable = False
+
+        def classifier(vocab, emb):
+            return supervised.BaselineClassifier(
+                rng.standard_normal((3, 2)), rng.standard_normal(3), rng.standard_normal((2, 3)),
+                rng.standard_normal(2), ["s0", "s1"], vocab, emb)
+
+        bundle = ZslBundle(classifier(vocab, frozen),
+                           ConseModel(_attr(rng.standard_normal((2, 2)), ["s0", "s1"]), T=2))
+
+        def served():
+            got = recommend(bundle, ["w"], ["c", "a", "b"], k=3)
+            clf, head = bundle.classifier, bundle.head
+            attrs = AttributeMatrix.from_labels(["c", "a", "b"], clf.vocab, clf.emb)
+            want = head.rank(clf, extract_features(clf, ["w"]), head.prepare(attrs))
+            assert _bits(got) == _bits(want)
+            return bundle.prepared
+
+        kept = served()
+        assert served() is kept
+        # each change below would rank with a set prepared for something else
+        writable = frozen.copy()
+        for change in (
+            lambda: setattr(bundle, "head", DemModel(rng.standard_normal((3, 2)),
+                                                     rng.standard_normal(3))),
+            lambda: setattr(bundle, "head", EszslModel(rng.standard_normal((3, 2)), 1.0)),
+            lambda: setattr(bundle.classifier, "vocab", reordered),
+            lambda: setattr(bundle, "classifier", classifier(reordered, frozen[::-1])),
+            lambda: setattr(bundle.classifier, "emb", writable),
+            # a writable embedding is gathered on every call, so an edit is seen
+            lambda: writable.__setitem__(0, 0.0),
+        ):
+            change()
+            assert served() is not kept
+            kept = served()
 
 
 class TestFslAugment:
