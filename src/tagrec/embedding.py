@@ -108,6 +108,13 @@ def noise_distribution(vocab: Vocabulary) -> np.ndarray:
     return powered / powered.sum()
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows to inf for x below about -709, and 1 / inf is
+    # the sigmoid's limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # log sigma(x) = -log(1 + exp(-x)), computed stably for any sign
     return -np.logaddexp(0.0, -x)
@@ -158,18 +165,15 @@ def _sgns_update(
     contexts: np.ndarray,
     negatives: np.ndarray,
     steps: np.ndarray,
-    expit,
 ) -> None:
     """One SGD update for a run of pairs: every pair's gradient is taken
     at the tables as they stand on entry, scaled by its own step size,
     and the steps are added to the tables in pair order. einsum keeps
-    the sums out of BLAS, so they do not depend on its thread count.
-    expit is scipy.special.expit, passed in so that importing this
-    module does not load SciPy."""
+    the sums out of BLAS, so they do not depend on its thread count."""
     ids = np.concatenate((contexts[:, None], negatives), axis=1)
     v = inp[centers]
     u = out[ids]
-    g = expit(np.einsum("pd,pkd->pk", v, u))
+    g = _sigmoid(np.einsum("pd,pkd->pk", v, u))
     g[:, 0] -= 1.0
     grad_v = np.einsum("pk,pkd->pd", g, u)
     _add_rows(inp, centers, -steps[:, None] * grad_v)
@@ -201,8 +205,6 @@ def train_sgns(
     single fixed draw of negatives, so the curve tracks parameter
     movement rather than sampling noise.
     """
-    from scipy.special import expit
-
     rng = np.random.default_rng(config.seed)
     V, d = len(vocab), config.dim
     inp = (rng.random((V, d)) - 0.5) / d
@@ -254,7 +256,7 @@ def train_sgns(
             processed += len(centers)
             for s in range(0, len(centers), MAX_UPDATE_PAIRS):
                 sl = slice(s, s + MAX_UPDATE_PAIRS)
-                _sgns_update(inp, out, centers[sl], contexts[sl], negatives[sl], steps[sl], expit)
+                _sgns_update(inp, out, centers[sl], contexts[sl], negatives[sl], steps[sl])
         mean_loss = _eval_pair_loss(inp, out, eval_centers, eval_contexts, eval_negatives)
         if not np.isfinite(mean_loss):
             raise NumericalError(

@@ -167,22 +167,38 @@ def train_minibatch(
     return params, loss_history
 
 
-def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A @ X = B for symmetric positive definite A via Cholesky
-    factorization (never forms the explicit inverse). SciPy is imported
-    here, not at module level, so that commands that never solve do not
-    load it."""
-    from scipy.linalg import cho_factor, cho_solve
+# rows of each diagonal block of the Cholesky factor that spd_solve's
+# substitutions solve at once; the rest of each step is one GEMM
+_SOLVE_BLOCK = 128
 
+
+def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A @ X = B for symmetric positive definite A and a vector or
+    matrix B: one Cholesky factorization A = L L^T, then forward and
+    back substitution through L in blocks of _SOLVE_BLOCK rows (never
+    forms the explicit inverse)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got {A.shape}")
-    scale = np.linalg.norm(A)
-    if scale > 0 and np.linalg.norm(A - A.T) > 1e-9 * scale:
-        raise ValueError("A is not symmetric within 1e-9 relative tolerance")
+    if B.ndim not in (1, 2) or B.shape[0] != A.shape[0]:
+        raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape}")
+    if not np.array_equal(A, A.T):
+        scale = np.linalg.norm(A)
+        if scale > 0 and np.linalg.norm(A - A.T) > 1e-9 * scale:
+            raise ValueError("A is not symmetric within 1e-9 relative tolerance")
     try:
-        factor = cho_factor(A, lower=True, check_finite=False)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix not positive definite") from exc
-    return cho_solve(factor, B, check_finite=False)
+    X = B.copy()
+    starts = range(0, len(A), _SOLVE_BLOCK)
+    for a in starts:  # L Y = B
+        b = a + _SOLVE_BLOCK
+        X[a:b] -= L[a:b, :a] @ X[:a]
+        X[a:b] = np.linalg.solve(L[a:b, a:b], X[a:b])
+    for a in reversed(starts):  # L^T X = Y
+        b = a + _SOLVE_BLOCK
+        X[a:b] -= L[b:, a:b].T @ X[b:]
+        X[a:b] = np.linalg.solve(L[a:b, a:b].T, X[a:b])
+    return X

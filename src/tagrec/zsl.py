@@ -337,7 +337,8 @@ def conse_rank(f_x: np.ndarray, candidates: ConseCandidates) -> Prediction:
 
 def eszsl_fit(X: np.ndarray, Y: np.ndarray, A: np.ndarray, gamma: float) -> EszslModel:
     """Closed-form bilinear fit W = (X X^T + gI)^-1 X Y A^T (A A^T + gI)^-1,
-    computed as two SPD solves.
+    computed as two SPD solves, the feature one in whichever of the
+    Grams X X^T (p x p) and X^T X (m x m) is smaller.
 
     X is (p, m) features-as-columns, Y is (m, n) one-hot rows, A is
     (s, n) attributes-as-columns.
@@ -356,19 +357,30 @@ def eszsl_fit(X: np.ndarray, Y: np.ndarray, A: np.ndarray, gamma: float) -> Eszs
 
     from .numeric import spd_solve
 
-    right = X @ Y @ A.T  # (p, s)
+    def regularized(gram: np.ndarray) -> np.ndarray:
+        gram.flat[:: len(gram) + 1] += gamma  # gram + gamma I, in place
+        return gram
+
     try:
-        half = spd_solve(X @ X.T + gamma * np.eye(p), right)
+        if m < p:
+            # (X X^T + gI)^-1 X = X (X^T X + gI)^-1: solve in the m x m
+            # Gram, and multiply by X after both solves, so that the
+            # second takes m right-hand sides rather than p
+            half = spd_solve(regularized(X.T @ X), Y @ A.T)
+        else:
+            half = spd_solve(regularized(X @ X.T), X @ Y @ A.T)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             "feature Gram X X^T + gamma I is not positive definite"
         ) from exc
     try:
-        W = spd_solve(A @ A.T + gamma * np.eye(A.shape[0]), half.T).T
+        W = spd_solve(regularized(A @ A.T), half.T).T
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             "attribute Gram A A^T + gamma I is not positive definite"
         ) from exc
+    if m < p:
+        W = X @ W
     if not np.all(np.isfinite(W)):
         raise NumericalError("non-finite entries in fitted W")
     return EszslModel(W=W, gamma=gamma)

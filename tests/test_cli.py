@@ -1158,8 +1158,9 @@ def _scipy_modules_after(code, *args):
 
 
 class TestImportPath:
-    """Only SGNS training and the ESZSL solve use SciPy; importing it
-    costs a fresh process about 0.3 s."""
+    """tagrec runs on NumPy alone. SciPy would load a second BLAS library
+    beside NumPy's and cost a fresh process about 0.3 s of imports, so
+    no command may import it."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_modules_after("import tagrec.cli") == []
@@ -1167,6 +1168,26 @@ class TestImportPath:
     def test_recommend_loads_no_scipy(self, saved_bundles):
         code = "from tagrec.cli import main\nassert main(sys.argv[1:]) == 0"
         argv = ["recommend", "--bundle", str(saved_bundles["dem"]), "--text", "hi", "--k", "2"]
+        assert _scipy_modules_after(code, *argv) == []
+
+    @pytest.mark.parametrize("command", ["train-embeddings", "zsl-eszsl-bundle", "fsl", "eval"])
+    def test_command_loads_no_scipy(self, world, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(" ".join(tokens) + "\n"
+                                  for tokens, _ in world.corpus.dataset.examples),
+                          encoding="ascii")
+        argv = {
+            "train-embeddings": ["train-embeddings", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "v.txt"), "--dim", "8",
+                                 "--epochs", "1"],
+            "zsl-eszsl-bundle": ["zsl", *world.data_flags, *FAST_GRID, "--methods", "eszsl",
+                                 "--save-bundle", str(tmp_path / "b.json")],
+            "fsl": ["fsl", *world.data_flags, *FAST_GRID, "--shots", "3",
+                    "--out", str(tmp_path / "r.json")],
+            "eval": ["eval", *world.data_flags, "--folds", "2", "--epochs", "2",
+                     "--hidden", "8", "--out", str(tmp_path / "cv.json")],
+        }[command]
+        code = "from tagrec.cli import main\nassert main(sys.argv[1:]) == 0"
         assert _scipy_modules_after(code, *argv) == []
 
 

@@ -146,6 +146,12 @@ class TestTrainSgns:
             [words[j] for j in rng.integers(0, 12, size=6)] for _ in range(40)
         ]
 
+    def test_sigmoid_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = embedding._sigmoid(np.array([-800.0, 0.0, 800.0]))
+        assert got.tolist() == [0.0, 0.5, 1.0]
+
     def test_deterministic_given_seed(self):
         sentences = self._tiny_corpus()
         vocab = build_vocab(sentences)

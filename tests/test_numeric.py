@@ -251,6 +251,43 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="symmetric"):
             spd_solve(A, np.ones(2))
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("rhs", [(), (1,), (7,)], ids=["1-D", "one-column", "2-D"])
+    def test_matches_a_general_solve_across_blocks(self, rng, n, rhs):
+        # sizes around spd_solve's block of 128 rows take every path of
+        # its blocked substitutions
+        M = rng.standard_normal((n, n))
+        A = M.T @ M + n * np.eye(n)
+        B = rng.standard_normal((n, *rhs))
+        X = spd_solve(A, B)
+        assert X.shape == B.shape
+        np.testing.assert_allclose(X, np.linalg.solve(A, B), rtol=1e-10, atol=1e-13)
+
+    def test_non_positive_definite_rejected_at_scale(self, rng):
+        M = rng.standard_normal((200, 200))
+        A = M.T @ M
+        A[150, 150] = -1.0
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            spd_solve(A, np.ones((200, 2)))
+
+    def test_asymmetry_tolerance_is_relative(self, rng):
+        M = rng.standard_normal((200, 200))
+        A = M.T @ M + np.eye(200)
+        scale = np.linalg.norm(A)
+        within, beyond = A.copy(), A.copy()
+        within[3, 7] += 1e-11 * scale
+        beyond[3, 7] += 1e-8 * scale
+        np.testing.assert_allclose(spd_solve(within, np.ones(200)), spd_solve(A, np.ones(200)),
+                                   rtol=1e-6)
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_solve(beyond, np.ones(200))
+
+    def test_right_hand_side_must_match(self):
+        with pytest.raises(ValueError, match="rows"):
+            spd_solve(np.eye(3), np.ones(4))
+        with pytest.raises(ValueError, match="rows"):
+            spd_solve(np.eye(3), np.ones((3, 2, 2)))
+
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_residual_bound_on_random_spd(self, n, seed):

@@ -204,6 +204,25 @@ class TestEszsl:
         scale = max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(A)))
         assert np.abs(grad).max() <= 1e-8 * scale
 
+    @pytest.mark.parametrize("m,p", [(6, 10), (10, 10), (30, 10)], ids=["m<p", "m==p", "m>p"])
+    def test_gradient_vanishes_in_either_gram(self, rng, m, p):
+        # m < p solves in the m x m Gram X^T X, otherwise in the p x p X X^T
+        X, Y, A = self._random_instance(rng, m=m, p=p)
+        model = eszsl_fit(X, Y, A, gamma=0.5)
+        grad = eszsl_objective_grad(model.W, X, Y, A, 0.5)
+        scale = max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(A)))
+        assert np.abs(grad).max() <= 1e-8 * scale
+
+    def test_small_gram_agrees_with_feature_gram(self, rng):
+        from tagrec.numeric import spd_solve
+
+        X, Y, A = self._random_instance(rng, m=12, p=40, s=7, n=5)
+        gamma = 0.3
+        half = spd_solve(X @ X.T + gamma * np.eye(40), X @ Y @ A.T)
+        W = spd_solve(A @ A.T + gamma * np.eye(7), half.T).T
+        got = eszsl_fit(X, Y, A, gamma).W
+        assert np.linalg.norm(got - W) <= 1e-9 * np.linalg.norm(W)
+
     def test_closed_form_beats_perturbations(self, rng):
         X, Y, A = self._random_instance(rng, m=20, p=6, s=4, n=5)
         model = eszsl_fit(X, Y, A, gamma=1.0)
@@ -376,6 +395,24 @@ class TestDem:
         scores = [s for _, s in pred.ranked]
         assert all(s <= 0.0 for s in scores)
         assert scores == sorted(scores, reverse=True)
+
+
+    def test_prepare_maps_each_distinct_column_once(self, rng):
+        # BLAS may round equal columns of one product differently, so
+        # ties stay exact only if each distinct column is mapped once
+        M = rng.standard_normal((3, 6))
+        M[:, 3] = M[:, 0]
+        M[:, 5] = M[:, 0]
+        M[:, 4] = M[:, 1]
+        M[:, 2] = 0.0
+        M[0, 1] = M[0, 4] = 0.0
+        M[0, 4] = -0.0  # equal to 0.0, so column 4 still ties with 1
+        model = DemModel(weights=rng.standard_normal((5, 3)), bias=rng.standard_normal(5))
+        prepared = model.prepare(_attr(M, list("abcdef")))
+        assert prepared.mapped.shape == (3, 5)
+        assert prepared.inverse.tolist() == [0, 1, 2, 0, 1, 0]
+        want = np.maximum(M[:, [0, 1, 2]].T @ model.weights.T + model.bias, 0.0)
+        np.testing.assert_allclose(prepared.mapped, want, rtol=1e-12)
 
 
 def _tie_groups(n):
