@@ -272,10 +272,11 @@ def save_embeddings(vectors: np.ndarray, vocab: Vocabulary, path) -> None:
     digits per value (enough to round-trip float64 exactly)."""
     # utf-8: the minimally preprocessed training corpus keeps accented
     # tokens, so the vocabulary is not guaranteed to be ASCII
+    line = "%s " + " ".join(["%.17g"] * vectors.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(vocab)} {vectors.shape[1]}\n")
         for token, row in zip(vocab.tokens, vectors):
-            fh.write(token + " " + " ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(line % (token, *row.tolist()))
 
 
 def _parse_word2vec(path) -> tuple[Vocabulary, np.ndarray]:

@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: usage errors exit 1, data errors
 exit 2, numerical failures exit 3. The JSON and JSONL readers here turn
-a file that does not decode or parse into a DataError naming it.
+a file that does not decode or parse into a DataError naming it; the
+JSON writer every artifact goes through streams the stdlib's canonical
+encoding through its C encoder.
 """
 
 import json
@@ -61,10 +63,39 @@ def read_json(path, encoding: str):
 
 def write_json(path, obj) -> None:
     """One JSON value as ASCII with sorted keys and a final newline, so
-    equal values give byte-identical files."""
+    equal values give byte-identical files: the file holds
+    `json.dumps(obj, sort_keys=True) + "\\n"`.
+
+    json.dump encodes in pure Python, and one json.dumps of a whole
+    bundle would hold its text in memory. So the value is walked (each
+    dict, and each list or tuple whose first item is a container) and
+    every other value, such as a matrix row, a flat list or a scalar, is
+    written as soon as json.dumps's C encoder has encoded it. A walked
+    dict's keys must be str (TypeError otherwise)."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        _write_value(fh.write, obj)
         fh.write("\n")
+
+
+def _write_value(write, value) -> None:
+    """Write `value` as json.dumps(value, sort_keys=True) spells it."""
+    if isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_value(write, value[key])
+        write("}")
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (dict, list, tuple)):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(", ")
+            _write_value(write, item)
+        write("]")
+    else:
+        write(json.dumps(value, sort_keys=True))
 
 
 def read_jsonl(path, encoding: str):

@@ -10,7 +10,9 @@ hashtag's attribute vector (label_embedding), the skip-gram pairs of
 a sentence as a list (skipgram_pairs), a corpus with two
 interchangeable tokens for embedding checks (make_synonym_corpus), and
 a word2vec text reader that converts one value at a time with float()
-(load_embeddings_reference), and the Adam step that allocates fresh
+(load_embeddings_reference), the word2vec text a vocabulary and its
+vectors make with each value formatted on its own by f"{x:.17g}"
+(word2vec_text_reference), and the Adam step that allocates fresh
 arrays, which tagrec.numeric.adam_step must match bit for bit in place
 (adam_step_reference)."""
 
@@ -357,6 +359,15 @@ def load_embeddings_reference(path) -> tuple[Vocabulary, np.ndarray]:
     if len(tokens) != n_rows:
         raise DataError(f"{path}:1: header declares {n_rows} rows, found {len(tokens)}")
     return Vocabulary(tokens=tokens, counts=[1] * len(tokens), index=index), vectors
+
+
+def word2vec_text_reference(vectors: np.ndarray, vocab: Vocabulary) -> str:
+    """The text tagrec.embedding.save_embeddings writes, one f-string
+    per numpy scalar."""
+    lines = [f"{len(vocab)} {vectors.shape[1]}\n"]
+    for token, row in zip(vocab.tokens, vectors):
+        lines.append(token + " " + " ".join(f"{x:.17g}" for x in row) + "\n")
+    return "".join(lines)
 
 
 def adam_step_reference(

@@ -1265,6 +1265,27 @@ class TestEvalCommand:
         assert code == 1 and "error:" in err
 
 
+def test_every_json_artifact_is_its_canonical_stdlib_encoding(capsys, tmp_path, world,
+                                                             saved_bundles):
+    """Each JSON file a command writes holds exactly what
+    json.dumps(value, sort_keys=True) plus a newline spells."""
+    written = [tmp_path / name for name in
+               ("labels.json", "report.json", "baseline.json", "zsl.json", "cv.json")]
+    commands = [
+        ingest_argv(tmp_path, min_tweets=3, labels_out=written[0], report_out=written[1]),
+        ["train-baseline", *world.data_flags, "--out", str(written[2]),
+         "--epochs", "6", "--hidden", "32"],
+        ["zsl", *world.data_flags, *FAST_GRID, "--out", str(written[3])],
+        ["eval", *world.data_flags, "--folds", "3", "--epochs", "6", "--hidden", "32",
+         "--out", str(written[4])],
+    ]
+    for argv in commands:
+        assert run_cli(argv, capsys)[0] == 0, argv
+    for path in [*written, *saved_bundles.values()]:
+        data = path.read_bytes()
+        assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode(), path
+
+
 class TestExitCodeMapping:
     def test_numerical_errors_exit_three(self, capsys, monkeypatch):
         def boom(cfg):

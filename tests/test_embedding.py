@@ -19,6 +19,7 @@ from reference_math import (
     make_synonym_corpus,
     sgns_reference,
     skipgram_pairs,
+    word2vec_text_reference,
 )
 from tagrec import embedding
 from tagrec.embedding import (
@@ -328,6 +329,17 @@ class TestEmbeddingIO:
         vocab2, vectors2 = load_embeddings(path)
         assert vocab2.tokens == vocab.tokens
         assert np.array_equal(vectors2, vectors)
+
+    def test_file_formats_each_value_as_its_own_17g(self, tmp_path, rng):
+        """One %-format per row writes what one f"{x:.17g}" per value
+        writes, edge values and a non-ASCII token included."""
+        vocab = build_vocab([["plain", "café", "#tag", "ñ"]])
+        vectors = rng.standard_normal((4, 7)) * 10.0 ** rng.integers(-300, 300, size=(4, 7))
+        vectors[0] = [-0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.0]
+        vectors[1, :3] = [-5e-324, -1.7976931348623157e308, 0.1]
+        path = tmp_path / "vectors.txt"
+        save_embeddings(vectors, vocab, path)
+        assert path.read_bytes() == word2vec_text_reference(vectors, vocab).encode("utf-8")
 
     def test_header_row_matches_content(self, tmp_path, rng):
         vocab, vectors = self._random_embedding(rng)
