@@ -33,12 +33,6 @@ _values = st.recursive(
 )
 
 
-def _written(tmp_path, value) -> str:
-    path = tmp_path / "value.json"
-    write_json(path, value)
-    return path.read_bytes().decode("ascii")
-
-
 class TestWriteJson:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -48,7 +42,9 @@ class TestWriteJson:
     @example(value=({"b": ()}, [], {}, [[]], [{}], ((),)))
     @example(value={"m": [[float(x) for x in row] for row in np.eye(3)], "": EDGE_FLOATS})
     def test_file_is_the_canonical_stdlib_encoding(self, tmp_path, value):
-        assert _written(tmp_path, value) == json.dumps(value, sort_keys=True) + "\n"
+        path = tmp_path / "value.json"
+        write_json(path, value)
+        assert path.read_bytes() == (json.dumps(value, sort_keys=True) + "\n").encode("ascii")
 
     @pytest.mark.parametrize("value", [
         {1: "a"},
@@ -77,7 +73,7 @@ class TestWriteJson:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert path.read_text(encoding="ascii") == json.dumps(value, sort_keys=True) + "\n"
+        assert path.read_bytes() == (json.dumps(value, sort_keys=True) + "\n").encode("ascii")
 
 
 def test_no_module_calls_json_dump():
